@@ -2171,7 +2171,7 @@ kept AS (SELECT doc_id, idx, paras.p
 SELECT doc_id, string_agg(p, chr(10)||chr(10) ORDER BY idx) AS text
 FROM kept GROUP BY doc_id
 """,
-        "pii_redact": """
+        "pii_redact": r"""
 WITH t2 AS (
   SELECT doc_id,
          text || ' contact user' || doc_id || '@mail.example.com or 192.168.' ||
@@ -2182,8 +2182,8 @@ a AS (SELECT doc_id,
              regexp_replace(text, '[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}', '<EMAIL>', 'g') AS text
       FROM t2),
 b AS (SELECT doc_id, n_emails,
-             len(regexp_extract_all(text, '\\b(?:[0-9]{1,3}\.){3}[0-9]{1,3}\\b'))::BIGINT AS n_ips,
-             regexp_replace(text, '\\b(?:[0-9]{1,3}\.){3}[0-9]{1,3}\\b', '<IP>', 'g') AS text
+             len(regexp_extract_all(text, '\b(?:[0-9]{1,3}\.){3}[0-9]{1,3}\b'))::BIGINT AS n_ips,
+             regexp_replace(text, '\b(?:[0-9]{1,3}\.){3}[0-9]{1,3}\b', '<IP>', 'g') AS text
       FROM a)
 SELECT doc_id,
        regexp_replace(text, '\+?[0-9][0-9()\-\s]{7,}[0-9]', '<PHONE>', 'g') AS text,
@@ -2191,7 +2191,7 @@ SELECT doc_id,
        len(regexp_extract_all(text, '\+?[0-9][0-9()\-\s]{7,}[0-9]'))::BIGINT AS n_phones
 FROM b
 """,
-        "curation": """
+        "curation": r"""
 WITH toks AS (
   SELECT doc_id, unnest(arr) AS term
   FROM (SELECT doc_id,
@@ -2223,7 +2223,7 @@ SELECT doc_id, lang,
            '''(?:[sdmt]|ll|ve|re)| ?[a-zA-Z]+| ?[0-9]+| ?[^\sa-zA-Z0-9]+|\s+'))::BIGINT AS n_bpe_tokens
 FROM samp
 """,
-        "bpe_token_count": """
+        "bpe_token_count": r"""
 SELECT doc_id,
        len(regexp_extract_all(text,
            '''(?:[sdmt]|ll|ve|re)| ?[a-zA-Z]+| ?[0-9]+| ?[^\sa-zA-Z0-9]+|\s+'))::BIGINT AS n_bpe_tokens

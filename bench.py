@@ -1,7 +1,7 @@
 """Benchmark harness — prints ONE JSON line.
 
 Usage:
-    python bench.py                   # full bench at $RAY_GRAFT_CPUS (default 32)
+    python bench.py                   # full bench at $RAY_GRAFT_CPUS (default: all CPUs)
     python bench.py --scaling         # same job at 8 and 32 CPUs, reports efficiency
 
 Headline pipelines over $GRAFT_SF_DIR (default /root/testdata/sf0.1):
@@ -9,7 +9,7 @@ Headline pipelines over $GRAFT_SF_DIR (default /root/testdata/sf0.1):
   * build_code      — fresh build of the synthetic 50k-row code corpus
                       (FIXTURES.md F1; the north-rule workload shape)
   * query p50/p95   — BM25 top-k, AND, phrase, prefix, WAND over the
-                      warm index (QueryActor-style: reader loaded once)
+                      warm index (QueryEngine-style: reader loaded once)
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
 CODE_ROWS = int(os.environ.get("GRAFT_CODE_ROWS", "50000"))
 
 
@@ -120,7 +120,7 @@ def run_bench() -> dict:
 
     # ---- 3. query latency over the warm documents index
     table = IndexedTable(idx_dir, doc_files, "doc_id")
-    reader = table.reader()  # loaded once (QueryActor pattern)
+    reader = table.reader()  # loaded once (QueryEngine pattern)
     si = reader.section("text")
     dl = reader.doclens("text")
 
@@ -155,9 +155,9 @@ def run_bench() -> dict:
         ),
     )
 
-    # ---- 4. batched-query throughput through the QueryActor pool (the
-    # query-side scale path: each actor loads the reader once, queries
-    # stream through map_batches)
+    # ---- 4. batched-query throughput through per-process QueryEngines
+    # (the query-side scale path: each worker process loads the reader
+    # once, queries stream through map_batches tasks)
     import pyarrow as pa_
 
     from groonga_ray.engine import run_query_batch

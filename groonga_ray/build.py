@@ -734,28 +734,10 @@ class RunReader:
 def _merge_bucket_or_empty(
     cfg: BuildConfig, section: str, index_dir: str, bucket: int, group: pa.Table | None
 ) -> dict:
-    """Merge one bucket from an already-read (possibly empty) group."""
-    if group is None:
-        group = (
-            codec.POSTING_SCHEMA.empty_table()
-            .append_column("bucket", pa.array([], pa.uint32()))
-            .append_column("shard", pa.array([], pa.uint32()))
-            .append_column("hot", pa.array([], pa.bool_()))
-        )
-    return _merge_bucket_table(group, cfg, section, index_dir, bucket)
-
-
-def merge_bucket(
-    cfg: BuildConfig, section: str, index_dir: str, bucket: int, runs: "RunReader"
-) -> dict:
-    """Merge one bucket across all runs (row-group-pruned reads) into
-    final posting rows; write them + manifest. Idempotent.
-
-    Non-hot terms: bulk-decode all runs (vectorized across rows) and
-    re-encode once. Hot terms: pass through as parts (chunk directories
-    untouched).
-    """
-    group = runs.read_bucket(bucket)
+    """Merge one bucket from an already-read (possibly empty) group of
+    run rows into final posting rows; write them + manifest. Idempotent.
+    Non-hot terms are bulk-decoded and re-encoded once; hot terms pass
+    through as parts (chunk directories untouched)."""
     if group is None:
         group = (
             codec.POSTING_SCHEMA.empty_table()
@@ -1634,14 +1616,12 @@ def add_documents(index_dir: str, new_files: list[str], cfg: BuildConfig | None 
     (docid_offset); for docid-column tables the new files' docids must
     all exceed the base's (asserted from metadata).
 
-    Visibility: the module-level reader cache is cleared, so NEW
-    readers/actors see the delta; QueryActor pools constructed before
-    the update keep their old reader + result cache and must be
-    recreated (same contract as the reference's grn_cache until
-    invalidation).
+    Visibility: the manifest rewrite changes the index stamp, so
+    ``open_index`` opens a new reader that sees the delta; a
+    QueryEngine built before the update keeps its old reader + result
+    cache until ``run_query_batch`` keys a new one on the new stamp
+    (same contract as the reference's grn_cache until invalidation).
     """
-    from .index import open_index
-
     meta_path = os.path.join(index_dir, "meta.json")
     meta = read_manifest(meta_path)
     base_cfg = BuildConfig.from_fingerprint(meta["config"])
@@ -1704,7 +1684,6 @@ def add_documents(index_dir: str, new_files: list[str], cfg: BuildConfig | None 
         delta_hi + 1 if delta_hi is not None else next_docid + int(delta_meta["n_docs"])
     )
     write_manifest(meta_path, meta)
-    open_index.cache_clear()          # cached readers are stale now
     return delta_meta
 
 
@@ -1712,7 +1691,6 @@ def delete_documents(index_dir: str, docids) -> int:
     """Logical delete via tombstones (grn_ii delete, lib/ii.c:3880-3994,
     realized as read-time filtering): matches drop deleted docs
     immediately; postings/stats stay until compaction."""
-    from .index import open_index
     from .utils import atomic_write_table
 
     path = os.path.join(index_dir, "tombstones.parquet")
@@ -1721,7 +1699,6 @@ def delete_documents(index_dir: str, docids) -> int:
         old = pq.read_table(path).column("docid").to_numpy(zero_copy_only=False).astype(np.uint64)
         new = np.unique(np.concatenate([old, new]))
     atomic_write_table(pa.table({"docid": pa.array(new, pa.uint64())}), path)
-    open_index.cache_clear()
     return int(len(new))
 
 
@@ -1841,8 +1818,6 @@ def compact_index(index_dir: str, concurrency: int = 8) -> dict:
     Stats note: lexicon df/cf and doclen/avgdl still describe the
     pre-delete corpus until a rebuild — the same staleness window the
     reference has between delete and index re-optimization."""
-    from .index import open_index
-
     ts_path = os.path.join(index_dir, "tombstones.parquet")
     if not os.path.exists(ts_path):
         return {"rewritten": 0}
@@ -1877,8 +1852,10 @@ def compact_index(index_dir: str, concurrency: int = 8) -> dict:
         rewritten = sum(r["rewritten"] for r in out)
     else:
         rewritten = sum(_compact_one_file(p, dead) for p in parts)
+    # a new meta.json before the tombstones go: else the index stamp
+    # returns to its pre-delete value and open_index keeps that reader
+    write_manifest(os.path.join(index_dir, "meta.json"), meta)
     os.unlink(ts_path)
-    open_index.cache_clear()
     return {"rewritten": rewritten}
 
 
@@ -1889,14 +1866,11 @@ def truncate_index(index_dir: str) -> None:
     the directory stays, a subsequent build starts clean."""
     import shutil
 
-    from .index import open_index
-
     for entry in glob.glob(os.path.join(index_dir, "*")):
         if os.path.isdir(entry):
             shutil.rmtree(entry)
         else:
             os.unlink(entry)
-    open_index.cache_clear()
 
 
 def check_index(index_dir: str) -> dict:

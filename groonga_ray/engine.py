@@ -7,8 +7,8 @@ An :class:`IndexedTable` bundles a built index with its document store
 decoded posting arrays (the result-set scale is top-k / matched docs,
 not the corpus); document fetch and drilldowns column-prune the source
 Parquet. Batch query evaluation over a query *table* is
-:func:`run_query_batch` — an actor-pool map_batches where each actor
-holds the IndexReader once (the stateful-stage pattern).
+:func:`run_query_batch` — map_batches tasks over a per-process
+:class:`QueryEngine` that holds the IndexReader once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import codec, score as score_mod
-from .index import IndexReader, open_index
+from .cache import BoundedCache, file_stamp
+from .index import IndexReader, index_stamp, open_index
 from .qlang import (
     AdjustNode,
     AndNode,
@@ -53,17 +54,16 @@ from .tokenize import WordTokenizer
 
 
 @lru_cache(maxsize=1024)
-def _schema_names_cached(path: str, mtime_ns: int, size: int) -> frozenset:
+def _schema_names_cached(path: str, stamp: tuple | None) -> frozenset:
     return frozenset(pq.read_schema(path).names)
 
 
 def _schema_names_of(path: str) -> frozenset:
-    """Parquet schema names, cached per (path, mtime, size) — the
-    query hot path resolves output columns per request and must not
-    re-read file footers; the stat key keeps command-surface tables
-    (rewritten in place by load/DDL) correct."""
-    st = os.stat(path)
-    return _schema_names_cached(path, st.st_mtime_ns, st.st_size)
+    """Parquet schema names, cached per file stamp — the query hot
+    path resolves output columns per request and must not re-read file
+    footers; the stamp keeps command-surface tables (rewritten in place
+    by load/DDL) correct."""
+    return _schema_names_cached(path, file_stamp(path))
 
 
 @dataclass
@@ -253,54 +253,36 @@ def _eval_match_node(
 _WT = WordTokenizer()
 
 
-def _query_tokens(text: str, reader_or_chain=()) -> list[tuple[str, int]]:
+def _query_tokens(text: str, reader: IndexReader) -> list[tuple[str, int]]:
     """GET-mode tokenization of query text with the INDEX's configured
     tokenizer + token-filter chain (token_cursor GET mode: a TokenBigram
     table keeps symbol-run tokens, so escaped specials match literally;
     stop words drop, stems map; surviving tokens keep their original
-    ordinals so phrase offsets hold)."""
-    chain: list = ()
-    tokenizer = "TokenCodeWord"
-    normalizer = "NormalizerAuto"
-    cache = None
-    if isinstance(reader_or_chain, IndexReader):
-        # tokenizer/normalizer/chain are fixed per reader, so query
-        # tokenization is a pure function of the text — memoize on the
-        # reader (the vectorized tokenizer's constant overhead is ~25%
-        # of a short query's latency; serving batches repeat terms)
-        cache = getattr(reader_or_chain, "_qtok_cache", None)
-        if cache is None:
-            cache = reader_or_chain._qtok_cache = {}
-        hit = cache.get(text)
-        if hit is not None:
-            return list(hit)
-        chain = reader_or_chain.query_chain
-        cfg = reader_or_chain.meta.get("config", {})
-        tokenizer = cfg.get("tokenizer", "TokenCodeWord")
-        normalizer = cfg.get("normalizer", "NormalizerAuto")
-    elif reader_or_chain:
-        chain = reader_or_chain
+    ordinals so phrase offsets hold). Memoized on the reader, whose
+    tokenizer and chain are fixed (the vectorized tokenizer's constant
+    overhead is ~25% of a short query's latency; batches repeat terms)."""
+    return list(reader.query_tokens.get_or_load(text, lambda _: tuple(_tokenize_query(text, reader))))
+
+
+def _tokenize_query(text: str, reader: IndexReader) -> list[tuple[str, int]]:
+    cfg = reader.meta.get("config", {})
+    tokenizer = cfg.get("tokenizer", "TokenCodeWord")
     if tokenizer == "TokenCodeWord":
         toks = [(t, i) for i, t in enumerate(_WT.tokenize_text(text))]
     else:
         from .tokenize import tokenize as _tok
 
-        stream = _tok(text, tokenizer, mode="get", normalizer=normalizer or None)
-        toks = [(t.term, t.pos) for t in stream.tokens]
-    if not chain or not toks:
-        if cache is not None and len(cache) < 8192:
-            cache[text] = tuple(toks)
+        normalizer = cfg.get("normalizer", "NormalizerAuto") or None
+        toks = [(t.term, t.pos) for t in _tok(text, tokenizer, mode="get", normalizer=normalizer).tokens]
+    if not reader.query_chain or not toks:
         return toks
     from .tokenfilters import apply_chain
 
     terms, idx = apply_chain(
-        chain, pa.array([t for t, _ in toks], type=pa.large_string()), "get"
+        reader.query_chain, pa.array([t for t, _ in toks], type=pa.large_string()), "get"
     )
     pos = [toks[i][1] for i in idx.tolist()]
-    out = list(zip(terms.to_pylist(), pos))
-    if cache is not None and len(cache) < 8192:
-        cache[text] = tuple(out)
-    return out
+    return list(zip(terms.to_pylist(), pos))
 
 
 def _collect_query_keywords(query: str) -> list[str]:
@@ -2343,44 +2325,28 @@ def _ref_column_lookup(
 
 # ------------------------------------------------------- batch queries
 
-class QueryActor:
-    """Actor-pool stage for batch query evaluation: the IndexReader
-    (lexicon, stats, doclens, posting caches) is loaded ONCE per actor
-    in ``__init__``; each ``__call__`` evaluates a batch of query rows
-    ``(qid, query, match_columns, scorer, top_k)`` and emits
-    ``(qid, rank, doc_id, score)`` — the stateful-stage pattern the
-    reference realizes with per-worker mmap'd indexes
-    (thread-per-request over shared mmap, SURVEY.md §4)."""
+class QueryEngine:
+    """Per-process batch query evaluator, driven by
+    :func:`_query_batch_task`: the IndexReader (lexicon, stats, doclens,
+    posting caches) is loaded ONCE in ``__init__``; each ``__call__``
+    evaluates a batch of query rows ``(qid, query, match_columns,
+    scorer, top_k)`` and emits ``(qid, rank, doc_id, score)`` — the
+    reference's per-worker mmap'd index (thread-per-request over shared
+    mmap, SURVEY.md §4)."""
 
-    def __init__(self, table: IndexedTable, cache_size: int = 256):
-        from collections import OrderedDict
-
+    def __init__(self, table: IndexedTable):
         self.table = table
         self.reader = table.reader()  # loads lexicon + stats once
-        # per-actor LRU output cache keyed on the full request — the
-        # reference's grn_cache keyed on the whole arg string
-        # (lib/proc.c:986-996)
-        self._cache: OrderedDict[tuple, dict] = OrderedDict()
-        self._cache_size = cache_size
-
-    def _select_cached(self, **kwargs) -> dict:
-        key = tuple(sorted(kwargs.items()))
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            return self._cache[key]
-        res = select(self.table, **kwargs)
-        self._cache[key] = res
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return res
+        # LRU output cache keyed on the full request — the reference's
+        # grn_cache keyed on the whole arg string (lib/proc.c:986-996)
+        self._cache = BoundedCache(max_items=256)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = {"qid": [], "rank": [], "doc_id": [], "score": []}
-        n = batch.num_rows
         get = lambda col, i, default: (
             batch.column(col)[i].as_py() if col in batch.column_names else default
         )
-        for i in range(n):
+        for i in range(batch.num_rows):
             qid = get("qid", i, i)
             kw = dict(
                 query=get("query", i, None),
@@ -2390,18 +2356,17 @@ class QueryActor:
             )
             if str(get("cache", i, "yes")).lower() == "no":
                 # --cache no (proc_select cache flag, lib/proc.c:986):
-                # bypass the per-actor result cache for this request
+                # bypass the result cache for this request
                 res = select(self.table, **kw)
             else:
-                res = self._select_cached(**kw)
-            rows = res["rows"]
-            ids = rows.column("_id").to_pylist()
-            scores = rows.column("_score").to_pylist()
-            for r, (d, s) in enumerate(zip(ids, scores), 1):
-                out["qid"].append(qid)
-                out["rank"].append(r)
-                out["doc_id"].append(int(d))
-                out["score"].append(float(s))
+                res = self._cache.get_or_load(
+                    tuple(sorted(kw.items())), lambda _: select(self.table, **kw)
+                )
+            ids = res["rows"].column("_id").to_pylist()
+            out["qid"] += [qid] * len(ids)
+            out["rank"] += range(1, len(ids) + 1)
+            out["doc_id"] += map(int, ids)
+            out["score"] += map(float, res["rows"].column("_score").to_pylist())
         return pa.table(
             {
                 "qid": pa.array(out["qid"], pa.int64()),
@@ -2412,23 +2377,18 @@ class QueryActor:
         )
 
 
-# per-worker-process QueryActor cache for task-based batch dispatch:
+# per-worker-process QueryEngine cache for task-based batch dispatch:
 # the engine state (lexicon, stats, posting LRUs, result cache) loads
 # once per process and SURVIVES across Dataset executions — an actor
 # pool pays ~1s of pool spin-up on every execution, while Ray reuses
 # idle worker processes so this cache is usually already warm. Keyed
-# on the index meta fingerprint so a rebuilt/delta'd index gets a
+# on the index stamp so a rebuilt/delta'd/deleted-from index gets a
 # fresh engine; bounded to the 2 most recent indexes per process.
-_PROC_QUERY_ENGINES: dict = {}
+_PROC_QUERY_ENGINES = BoundedCache(max_items=2)
 
 
 def _query_batch_task(batch: pa.Table, *, table, cache_key) -> pa.Table:
-    qa = _PROC_QUERY_ENGINES.get(cache_key)
-    if qa is None:
-        while len(_PROC_QUERY_ENGINES) >= 2:
-            _PROC_QUERY_ENGINES.pop(next(iter(_PROC_QUERY_ENGINES)))
-        qa = _PROC_QUERY_ENGINES[cache_key] = QueryActor(table)
-    return qa(batch)
+    return _PROC_QUERY_ENGINES.get_or_load(cache_key, lambda _: QueryEngine(table))(batch)
 
 
 def run_query_batch(table: IndexedTable, queries, concurrency: int = 2, batch_size: int = 64):
@@ -2438,22 +2398,14 @@ def run_query_batch(table: IndexedTable, queries, concurrency: int = 2, batch_si
     semantics of the stateful-stage pattern without the per-execution
     actor-pool spin-up); ``concurrency`` only sizes the block
     pre-slicing for driver-side Arrow inputs."""
-    import os
-
     import ray.data
 
-    meta_path = os.path.join(table.index_dir, "meta.json")
-    try:
-        st = os.stat(meta_path)
-        mt, sz = st.st_mtime_ns, st.st_size
-    except OSError:
-        mt, sz = 0, 0
     # the full table identity, not just the index dir: two
     # IndexedTables over the same index with different source files /
     # docid column must NOT share a cached engine
     cache_key = (
         table.index_dir, tuple(table.source_files), table.docid_column,
-        mt, sz,
+        index_stamp(table.index_dir),
     )
 
     if hasattr(queries, "map_batches"):

@@ -41,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .cache import BoundedCache, file_stamp
 from .geo import GEO_RESOLUTION, geo_in_circle, geo_in_rectangle, parse_geopoint
 
 LAT_MAX = 90 * GEO_RESOLUTION    # 324_000_000 ms
@@ -342,19 +343,11 @@ def _group_by_file(hits: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
     return sorted(out.items())
 
 
-_READERS: dict[str, GeoIndexReader] = {}
+_READERS = BoundedCache(max_items=8)        # index dir -> reader at its stamp
 
 
 def open_geo_index(index_dir: str) -> GeoIndexReader:
-    r = _READERS.get(index_dir)
-    if r is None or not os.path.exists(os.path.join(index_dir, "meta.json")):
-        r = GeoIndexReader(index_dir)
-        _READERS[index_dir] = r
-    return r
-
-
-def invalidate_geo_cache(index_dir: str | None = None) -> None:
-    if index_dir is None:
-        _READERS.clear()
-    else:
-        _READERS.pop(index_dir, None)
+    """The process's reader of the geo index as it is on disk now (a
+    rebuild rewrites ``meta.json``, which opens a new one)."""
+    stamp = file_stamp(os.path.join(index_dir, "meta.json"))
+    return _READERS.get_or_load(index_dir, GeoIndexReader, stamp=stamp)

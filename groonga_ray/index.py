@@ -11,7 +11,7 @@ live in term-sorted bucket Parquet files written with bounded row
 groups; a term fetch binary-searches the per-row-group term statistics
 and reads ONLY the covering row groups (parquet pushdown = the
 reference's segment/chunk skip walk) — bytes read scale with the
-term's postings, not the bucket, and no query actor ever materializes
+term's postings, not the bucket, and no query engine ever materializes
 the vocabulary.
 
 Doc lengths are NOT materialized densely: :class:`DoclenStore` lazily
@@ -19,16 +19,18 @@ loads per-shard (docid, dl) files on first touch and answers vectorized
 docid lookups — at 10^12 docs a dense array would be terabytes; the
 store's footprint is bounded by the shards a query actually touches.
 
-One IndexReader per worker/actor: construct once in ``__init__`` of a
-query actor (stateful actor-pool pattern), never per batch.
+One IndexReader per index version per process, shared by every thread:
+:func:`open_index` reopens it when the files on disk change, and all
+of its caches are :class:`~groonga_ray.cache.BoundedCache` instances.
 """
 
 from __future__ import annotations
 
+import bisect
 import glob
 import json
 import os
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 import pyarrow as pa
@@ -36,6 +38,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import codec
+from .cache import BoundedCache, file_stamp
 
 
 class _BucketFile:
@@ -63,25 +66,13 @@ class _BucketFile:
         self.num_rows = int(rows[-1])
         self.num_row_groups = meta.num_row_groups
 
-    def groups_for_term(self, term: str) -> list[int]:
-        """Row groups that may contain ``term`` (terms are sorted across
-        the file, so the covering groups are a contiguous range)."""
-        import bisect
-
-        lo = bisect.bisect_left(self.rg_max, term)           # first group with max >= term
-        hi = bisect.bisect_right(self.rg_min, term)          # first group with min > term
-        return list(range(lo, hi))
-
     def groups_for_range(self, lo_term: str, hi_term: str | None) -> list[int]:
-        """Row groups intersecting the term range [lo_term, hi_term];
-        hi_term=None means unbounded above."""
-        import bisect
-
-        lo = bisect.bisect_left(self.rg_max, lo_term)
-        hi = (
-            bisect.bisect_right(self.rg_min, hi_term)
-            if hi_term is not None
-            else len(self.rg_min)
+        """Row groups intersecting the term range [lo_term, hi_term]
+        (terms are sorted across the file, so the covering groups are a
+        contiguous range); hi_term=None means unbounded above."""
+        lo = bisect.bisect_left(self.rg_max, lo_term)        # first group with max >= lo
+        hi = (                                               # first group with min > hi
+            bisect.bisect_right(self.rg_min, hi_term) if hi_term is not None else len(self.rg_min)
         )
         return list(range(lo, hi))
 
@@ -113,17 +104,15 @@ class SectionIndex:
     binary-searches its covering row group (faulting in ~LEXICON_
     ROW_GROUP rows); nothing ever loads the whole vocabulary — at
     web-scale vocab (10^8-10^9 terms) a flat in-memory lexicon is
-    multi-GB per query actor, the partitioned one is O(terms touched).
+    multi-GB per query process, the partitioned one is O(terms touched).
     Prefix/suffix/pattern scans stream row groups per shard under an
     LRU so their footprint stays bounded too.
     """
 
-    def __init__(self, index_dir: str, section: str):
+    def __init__(self, index_dir: str, section: str, n_buckets: int):
         self.dir = os.path.join(index_dir, f"sec={section}")
         self.section = section
-        with open(os.path.join(index_dir, "meta.json")) as fh:
-            _meta = json.load(fh)
-        self.n_buckets = int(_meta["config"]["n_buckets"])
+        self.n_buckets = n_buckets
         self._lex_paths: dict[int, str] = {}
         for f in glob.glob(os.path.join(self.dir, "lexicon", "bucket=*.parquet")):
             b = int(os.path.basename(f).split("=")[1].split(".")[0])
@@ -134,24 +123,22 @@ class SectionIndex:
                 "older layout?) — rebuild the index"
             )
         self._lex_files: dict[int, _BucketFile] = {}
-        self._lex_rg_cache: dict[tuple[int, int], pa.Table] = {}
-        self._term_rows: dict[int, dict] = {}       # tid -> lexicon row
-        self._tid_memo: dict[str, int | None] = {}
         self.df = _LazyDf(self)
         self._n_terms: int | None = None
         self._bucket_files: dict[int, _BucketFile] = {}
-        self._rg_cache: dict[tuple[int, int], pa.Table] = {}
-        self._row_cache: dict[int, list[dict]] = {}
-        # decoded-postings LRU (hot query terms skip varbyte decode +
-        # concat entirely — the index-structure analogue of the
-        # reference's mmap'd buffers staying in page cache; NOT the
-        # result cache, so --cache no does not bypass it). Byte-bounded
-        # so a few mega-df terms can't blow up a query actor's heap.
-        from collections import OrderedDict
-
-        self._pl_cache: OrderedDict[tuple, codec.PostingList] = OrderedDict()
-        self._pl_cache_bytes = 0
-        self._pl_cache_max_bytes = 64 << 20
+        self.caches = {
+            "lexicon_row_groups": BoundedCache(max_items=64),   # (bucket, rg) -> table
+            "term_rows": BoundedCache(max_items=65536),         # tid -> lexicon row
+            "term_ids": BoundedCache(max_items=65536),          # term -> tid | None
+            "posting_row_groups": BoundedCache(max_items=64),   # (bucket, rg) -> table
+            "posting_rows": BoundedCache(max_items=512),        # tid -> part rows
+            # decoded postings (hot query terms skip varbyte decode +
+            # concat — the analogue of the reference's mmap'd buffers
+            # staying in page cache; NOT the result cache, so --cache no
+            # does not bypass it). Byte-bounded so a few mega-df terms
+            # can't blow up the process heap.
+            "postings": BoundedCache(max_bytes=64 << 20, sizeof=_posting_nbytes),
+        }
         self.bytes_read = 0          # posting bytes fetched (test/observability)
         self.lex_bytes_read = 0      # lexicon bytes fetched
 
@@ -163,16 +150,13 @@ class SectionIndex:
         return bf
 
     def _lex_rg(self, bucket: int, rg: int) -> pa.Table:
-        key = (bucket, rg)
-        tbl = self._lex_rg_cache.get(key)
-        if tbl is None:
-            bf = self._lex_file(bucket)
-            tbl = bf.pf.read_row_groups([rg])
-            self.lex_bytes_read += bf.rg_bytes[rg]
-            if len(self._lex_rg_cache) >= 64:
-                self._lex_rg_cache.pop(next(iter(self._lex_rg_cache)))
-            self._lex_rg_cache[key] = tbl
-        return tbl
+        return self.caches["lexicon_row_groups"].get_or_load((bucket, rg), self._read_lex_rg)
+
+    def _read_lex_rg(self, key: tuple[int, int]) -> pa.Table:
+        bucket, rg = key
+        bf = self._lex_file(bucket)
+        self.lex_bytes_read += bf.rg_bytes[rg]
+        return bf.pf.read_row_groups([rg])
 
     @staticmethod
     def _row_dict(tbl: pa.Table, i: int) -> dict:
@@ -184,21 +168,14 @@ class SectionIndex:
             "parts": np.asarray(tbl.column("parts")[i].as_py(), np.int64),
         }
 
-    def _cache_row(self, tid: int, row: dict) -> None:
-        if len(self._term_rows) >= 65536:
-            self._term_rows.pop(next(iter(self._term_rows)))
-        self._term_rows[tid] = row
-
     def _lex_row(self, tid: int) -> dict:
-        row = self._term_rows.get(tid)
-        if row is None:
-            b, lid = tid >> TID_SHIFT, tid & _TID_MASK
-            bf = self._lex_file(b)
-            rg = int(np.searchsorted(bf.rg_row_base, lid, side="right")) - 1
-            tbl = self._lex_rg(b, rg)
-            row = self._row_dict(tbl, lid - int(bf.rg_row_base[rg]))
-            self._cache_row(tid, row)
-        return row
+        return self.caches["term_rows"].get_or_load(tid, self._read_lex_row)
+
+    def _read_lex_row(self, tid: int) -> dict:
+        b, lid = tid >> TID_SHIFT, tid & _TID_MASK
+        bf = self._lex_file(b)
+        rg = int(np.searchsorted(bf.rg_row_base, lid, side="right")) - 1
+        return self._row_dict(self._lex_rg(b, rg), lid - int(bf.rg_row_base[rg]))
 
     @property
     def n_terms(self) -> int:
@@ -218,27 +195,23 @@ class SectionIndex:
     def term_id(self, term: str) -> int | None:
         """Hash to the owning lexicon shard, binary-search its covering
         row group; None when absent."""
-        if term in self._tid_memo:
-            return self._tid_memo[term]
+        return self.caches["term_ids"].get_or_load(term, self._find_term)
+
+    def _find_term(self, term: str) -> int | None:
         from .utils import fnv1a
 
         b = int(fnv1a(pa.array([term], pa.large_string()))[0] % np.uint64(self.n_buckets))
         tid = None
         if b in self._lex_paths:
             bf = self._lex_file(b)
-            for rg in bf.groups_for_term(term):
+            for rg in bf.groups_for_range(term, term):
                 tbl = self._lex_rg(b, rg)
-                tcol = tbl.column("term")
-                if isinstance(tcol, pa.ChunkedArray):
-                    tcol = tcol.combine_chunks()
+                tcol = tbl.column("term").combine_chunks()
                 lo = _searchsorted_str(tcol, term, "left")
                 if lo < len(tcol) and tcol[lo].as_py() == term:
                     tid = (b << TID_SHIFT) | (int(bf.rg_row_base[rg]) + lo)
-                    self._cache_row(tid, self._row_dict(tbl, lo))
+                    self.caches["term_rows"].put(tid, self._row_dict(tbl, lo))
                     break
-        if len(self._tid_memo) >= 65536:
-            self._tid_memo.pop(next(iter(self._tid_memo)))
-        self._tid_memo[term] = tid
         return tid
 
     def _range_scan(self, lo_term: str, hi_term: str | None) -> list[int]:
@@ -249,9 +222,7 @@ class SectionIndex:
             bf = self._lex_file(b)
             for rg in bf.groups_for_range(lo_term, hi_term):
                 tbl = self._lex_rg(b, rg)
-                tcol = tbl.column("term")
-                if isinstance(tcol, pa.ChunkedArray):
-                    tcol = tcol.combine_chunks()
+                tcol = tbl.column("term").combine_chunks()
                 lo = _searchsorted_str(tcol, lo_term, "left")
                 hi = (
                     _searchsorted_str(tcol, hi_term, "left")
@@ -319,76 +290,59 @@ class SectionIndex:
         return bf
 
     def _read_row_group(self, bucket: int, rg: int) -> pa.Table:
-        key = (bucket, rg)
-        tbl = self._rg_cache.get(key)
-        if tbl is None:
-            bf = self._bucket_file(bucket)
-            tbl = bf.pf.read_row_groups([rg])
-            self.bytes_read += bf.rg_bytes[rg]
-            if len(self._rg_cache) >= 64:
-                self._rg_cache.pop(next(iter(self._rg_cache)))
-            self._rg_cache[key] = tbl
-        return tbl
+        return self.caches["posting_row_groups"].get_or_load((bucket, rg), self._read_posting_rg)
+
+    def _read_posting_rg(self, key: tuple[int, int]) -> pa.Table:
+        bucket, rg = key
+        bf = self._bucket_file(bucket)
+        self.bytes_read += bf.rg_bytes[rg]
+        return bf.pf.read_row_groups([rg])
 
     def posting_rows(self, tid: int) -> list[dict]:
         """All part rows of a term, ordered by first docid (hot terms
         have several salted parts; cold terms exactly one). Reads only
         the row groups whose term range covers the term."""
-        cached = self._row_cache.get(tid)
-        if cached is not None:
-            return cached
+        return self.caches["posting_rows"].get_or_load(tid, self._read_posting_rows)
+
+    def _read_posting_rows(self, tid: int) -> list[dict]:
         lex = self._lex_row(tid)
         term = lex["term"]
         rows: list[dict] = []
         for b in np.unique(lex["buckets"]):
             bf = self._bucket_file(int(b))
-            for rg in bf.groups_for_term(term):
+            for rg in bf.groups_for_range(term, term):
                 tbl = self._read_row_group(int(b), rg)
-                tcol = tbl.column("term")
-                if isinstance(tcol, pa.ChunkedArray):
-                    tcol = tcol.combine_chunks()
+                tcol = tbl.column("term").combine_chunks()
                 # rows are term-sorted: locate the term's row range
                 lo = _searchsorted_str(tcol, term, "left")
                 hi = _searchsorted_str(tcol, term, "right")
                 for i in range(lo, hi):
                     rows.append({c: tbl.column(c)[i].as_py() for c in tbl.column_names})
         rows.sort(key=lambda r: r["cfirst"][0])
-        if len(self._row_cache) >= 512:
-            self._row_cache.pop(next(iter(self._row_cache)))
-        self._row_cache[tid] = rows
         return rows
 
     def postings(self, tid: int, min_docid: int | None = None, with_positions: bool = False) -> codec.PostingList:
+        # cached PostingLists are shared read-only snapshots; all
+        # consumers index into them (copies), never write in place
         key = (tid, with_positions)
         if min_docid is None:
-            pl = self._pl_cache.get(key)
-            if pl is not None:
-                self._pl_cache.move_to_end(key)
-                return pl
+            return self.caches["postings"].get_or_load(key, self._decode)
+        return self._decode(key, min_docid)
+
+    def _decode(self, key: tuple[int, bool], min_docid: int | None = None) -> codec.PostingList:
+        tid, with_positions = key
         rows = self.posting_rows(tid)
         if not rows:
             return codec.PostingList(np.empty(0, np.uint64), np.empty(0, np.uint64))
-        if len(rows) == 1:
-            pl = codec.decode_postings(rows[0], min_docid=min_docid, with_positions=with_positions)
-        else:
-            merged = codec.concat_posting_rows(rows)
-            pl = codec.decode_postings(merged, min_docid=min_docid, with_positions=with_positions)
-        if min_docid is None:
-            nb = pl.docids.nbytes + pl.tfs.nbytes
-            if pl.positions is not None:
-                nb += pl.positions.nbytes + pl.pos_offsets.nbytes
-            # cached PostingLists are shared read-only snapshots; all
-            # consumers index into them (copies), never write in place
-            if nb <= self._pl_cache_max_bytes // 4:
-                self._pl_cache[key] = pl
-                self._pl_cache_bytes += nb
-                while self._pl_cache_bytes > self._pl_cache_max_bytes and self._pl_cache:
-                    _, old = self._pl_cache.popitem(last=False)
-                    ob = old.docids.nbytes + old.tfs.nbytes
-                    if old.positions is not None:
-                        ob += old.positions.nbytes + old.pos_offsets.nbytes
-                    self._pl_cache_bytes -= ob
-        return pl
+        row = rows[0] if len(rows) == 1 else codec.concat_posting_rows(rows)
+        return codec.decode_postings(row, min_docid=min_docid, with_positions=with_positions)
+
+
+def _posting_nbytes(pl: codec.PostingList) -> int:
+    nb = pl.docids.nbytes + pl.tfs.nbytes
+    if pl.positions is not None:
+        nb += pl.positions.nbytes + pl.pos_offsets.nbytes
+    return nb
 
 
 def _prefix_upper(prefix: str) -> str | None:
@@ -547,8 +501,8 @@ class DoclenStore:
         for i in range(len(self._files)):
             ids, dls = self._shard(i)
             dense[ids.astype(np.int64) - base] = dls
+        self._dense_base = base        # before _dense: other threads test _dense
         self._dense = dense
-        self._dense_base = base
         # the per-shard (docid, dl) arrays were only scaffolding for the
         # dense copy — keeping them would triple the footprint
         self._loaded.clear()
@@ -614,14 +568,15 @@ class IndexReader:
                 self._delta_metas.append(json.load(fh))
         self.sections = {}
         for s in self.meta["sections"]:
-            base = SectionIndex(index_dir, s)
-            if self._delta_dirs:
-                self.sections[s] = MultiSectionIndex(
-                    [base] + [SectionIndex(d, s) for d in self._delta_dirs]
-                )
-            else:
-                self.sections[s] = base
+            subs = [
+                SectionIndex(d, s, int(m["config"]["n_buckets"]))
+                for d, m in zip([index_dir] + self._delta_dirs, [self.meta] + self._delta_metas)
+            ]
+            self.sections[s] = MultiSectionIndex(subs) if len(subs) > 1 else subs[0]
         self._doclens: dict[str, DoclenStore] = {}
+        # query text -> GET-mode tokens (engine._query_tokens): the
+        # tokenizer and filter chain are fixed per reader
+        self.query_tokens = BoundedCache(max_items=8192)
         self.n_docs = int(self.meta["n_docs"]) + sum(
             int(m["n_docs"]) for m in self._delta_metas
         )
@@ -633,6 +588,13 @@ class IndexReader:
             t = pq.read_table(ts_path).column("docid").to_numpy(zero_copy_only=False)
             if len(t):                      # empty set == no tombstones
                 self.tombstones = np.sort(t.astype(np.uint64))
+
+    def owned_caches(self):
+        """(name, cache) of every cache this reader owns."""
+        yield "query_tokens", self.query_tokens
+        for s in self.sections.values():
+            for si in s.subs if isinstance(s, MultiSectionIndex) else [s]:
+                yield from si.caches.items()
 
     def filter_alive(self, result):
         """Drop tombstoned docids from a MatchResult (grn_ii delete
@@ -667,16 +629,14 @@ class IndexReader:
     def all_docids(self, section: str | None = None) -> np.ndarray:
         return self.doclens(section).all_docids()
 
-    @property
+    @cached_property
     def query_chain(self) -> list:
         """GET-mode token-filter chain from the build config (stop-word
         drop + stemming applied to query tokens, token_cursor
         lib/token_cursor.c:123-178)."""
-        if not hasattr(self, "_qchain"):
-            from .tokenfilters import build_chain
+        from .tokenfilters import build_chain
 
-            self._qchain = build_chain(self.meta.get("config", {}))
-        return self._qchain
+        return build_chain(self.meta.get("config", {}))
 
     def avgdl(self, section: str | None = None) -> float:
         if section is None:
@@ -687,7 +647,36 @@ class IndexReader:
         return tokens / docs if docs else 0.0
 
 
-@lru_cache(maxsize=8)
+_READERS = BoundedCache(max_items=8)        # index dir -> reader at its stamp
+
+
+def index_stamp(index_dir: str) -> tuple:
+    """Version of the index on disk: every mutation rewrites
+    ``meta.json`` (builds, deltas, config edits, compaction) or the
+    tombstone file (deletes), so the stamp never returns to a value a
+    cached reader holds."""
+    return (
+        file_stamp(os.path.join(index_dir, "meta.json")),
+        file_stamp(os.path.join(index_dir, "tombstones.parquet")),
+    )
+
+
 def open_index(index_dir: str) -> IndexReader:
-    """Process-level reader cache (one per index per worker)."""
-    return IndexReader(index_dir)
+    """The process's shared reader of ``index_dir`` as it is on disk
+    now; a new one opens when :func:`index_stamp` moves."""
+    return _READERS.get_or_load(index_dir, IndexReader, stamp=index_stamp(index_dir))
+
+
+open_index.cache_clear = _READERS.clear
+
+
+def cache_stats() -> dict[str, dict]:
+    """Counters of the open readers and of every cache they own,
+    summed per cache name."""
+    out = {"readers": _READERS.stats()}
+    for reader in _READERS.values():
+        for name, cache in reader.owned_caches():
+            acc = out.setdefault(name, {})
+            for k, v in cache.stats().items():
+                acc[k] = acc.get(k, 0) + v
+    return out

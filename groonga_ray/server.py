@@ -33,9 +33,26 @@ from urllib.parse import parse_qsl, urlsplit
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .cache import BoundedCache
+
 SUCCESS = 0
 GRN_INVALID_ARGUMENT = -22  # include/groonga/groonga.h rc values
 GRN_UNKNOWN_ERROR = -1
+
+
+def _rebuild_index(index_dir: str, files: list, cfg, next_docid: int | None = None) -> None:
+    """Rebuild ``index_dir`` anew in place, keeping the server's
+    ``next_docid``; the new ``meta.json`` makes ``open_index`` reopen."""
+    import os
+    import shutil
+
+    from .build import build_index, read_manifest, write_manifest
+
+    shutil.rmtree(index_dir, ignore_errors=True)
+    build_index(list(files), index_dir, cfg)
+    if next_docid is not None:
+        path = os.path.join(index_dir, "meta.json")
+        write_manifest(path, {**read_manifest(path), "next_docid": next_docid})
 
 
 def _split_cols(v: str | None, default=("_id", "_score")):
@@ -322,11 +339,11 @@ class CommandServer:
         self.pending: dict[str, TableDef] = {}
         self._no_text_index: set[str] = set()  # loaded with no declared index
         self._auto_id: set[str] = set()   # tables whose _id the server assigns
-        self._select_cache: OrderedDict[str, list] = OrderedDict()
+        # grn_cache: 100 entries by default, /d/cache_limit resizes it
+        self._select_cache = BoundedCache(max_items=100)
         from .engine import set_query_expander_resolver
 
         set_query_expander_resolver(self._resolve_query_expander)
-        self._cache_max = 100             # grn_cache default max entries
         self._commands = {
             "select": self._cmd_select,
             "status": self._cmd_status,
@@ -815,11 +832,10 @@ class CommandServer:
             params = {k: v for k, v in params.items() if k != "query"}
         use_cache = params.get("cache") != "no"
         cache_key = None
-        if use_cache and self._cache_max > 0:
+        if use_cache and self._select_cache.max_items > 0:
             cache_key = json.dumps(sorted(params.items()))
             hit = self._select_cache.get(cache_key)
             if hit is not None:
-                self._select_cache.move_to_end(cache_key)
                 return hit
         table = self._table(params)
         cast_fail = self._html_untag_cast_failure(params, table)
@@ -968,9 +984,7 @@ class CommandServer:
             if labeled_env or len(specs) > n_plain:
                 sets.append(labeled_env)
         if cache_key is not None:
-            self._select_cache[cache_key] = sets
-            while len(self._select_cache) > self._cache_max:
-                self._select_cache.popitem(last=False)
+            self._select_cache.put(cache_key, sets)
         return sets
 
     def _html_untag_cast_failure(self, params: dict, table) -> list | None:
@@ -1240,6 +1254,8 @@ class CommandServer:
         """``/d/status`` (proc_status, lib/proc.c:1240-1290)."""
         import groonga_ray
 
+        from .index import cache_stats
+
         return {
             "uptime": int(time.time() - self._started),
             "starttime": int(self._started),
@@ -1247,6 +1263,7 @@ class CommandServer:
             "version": getattr(groonga_ray, "__version__", "0"),
             "tables": sorted(self.tables),
             "suggest_datasets": sorted(self.suggest_datasets),
+            "caches": {**cache_stats(), "select_cache": self._select_cache.stats()},
         }
 
     def _cmd_tokenize(self, params: dict) -> list:
@@ -1494,7 +1511,7 @@ class CommandServer:
             return None
         import pyarrow.parquet as pq
 
-        from .geoindex import build_geo_index, invalidate_geo_cache
+        from .geoindex import build_geo_index
 
         present = set(pq.read_schema(files[0]).names)
         out = {}
@@ -1504,7 +1521,6 @@ class CommandServer:
             gdir = os.path.join(tdir, f"geoindex_{col}")
             shutil.rmtree(gdir, ignore_errors=True)
             build_geo_index(files, gdir, col, "_id")
-            invalidate_geo_cache(gdir)
             out[col] = gdir
         return out
 
@@ -1774,11 +1790,10 @@ class CommandServer:
         rewrites + rebuilds; big externally-registered tables keep the
         append-only LSM delta path."""
         import os
-        import shutil
 
         import pyarrow.parquet as pq
 
-        from .build import BuildConfig, build_index, read_manifest, write_manifest
+        from .build import BuildConfig, read_manifest
         from .engine import IndexedTable
 
         records = self._cast_records(name, records)
@@ -1836,15 +1851,7 @@ class CommandServer:
             loads_dir = os.path.join(tdir, "loads")
             path = os.path.join(loads_dir, f"load_{len(os.listdir(loads_dir)):05d}.parquet")
             pq.write_table(tbl, path)
-            shutil.rmtree(t.index_dir, ignore_errors=True)
-            build_index([path], t.index_dir, cfg)
-            meta2_path = os.path.join(t.index_dir, "meta.json")
-            meta2 = read_manifest(meta2_path)
-            meta2["next_docid"] = next_id
-            write_manifest(meta2_path, meta2)
-            from .index import open_index
-
-            open_index.cache_clear()  # rebuilt in place: cached readers are stale
+            _rebuild_index(t.index_dir, [path], cfg, next_id)
             geo_indexes = self._build_geo_indexes(
                 tdir, [path], getattr(self, "_geo_cols", {}).get(name, [])
             )
@@ -2134,7 +2141,6 @@ class CommandServer:
         import os
 
         from .build import read_manifest, write_manifest
-        from .index import open_index
 
         td = self.pending.get(lex_name) or getattr(
             self, "_td_archive", {}
@@ -2161,7 +2167,6 @@ class CommandServer:
             if meta.get("config", {}).get("stop_words") != list(words):
                 meta["config"]["stop_words"] = list(words)
                 write_manifest(mpath, meta)
-                open_index.cache_clear()
                 self._invalidate()
 
     def _lexicon_stop_words(self, data_name: str, td) -> tuple:
@@ -2540,8 +2545,7 @@ class CommandServer:
                     )
                     pq.write_table(tbl, f)
             # rebuild so index section names track the renamed column
-            from .build import BuildConfig, build_index, read_manifest
-            import shutil as _sh
+            from .build import BuildConfig, read_manifest
 
             meta = read_manifest(os.path.join(t.index_dir, "meta.json"))
             cfg = BuildConfig.from_fingerprint(meta["config"])
@@ -2554,11 +2558,7 @@ class CommandServer:
                         new if c == old else c for c in cfg.text_columns
                     ),
                 )
-                _sh.rmtree(t.index_dir, ignore_errors=True)
-                build_index(list(t.source_files), t.index_dir, cfg)
-                from .index import open_index
-
-                open_index.cache_clear()
+                _rebuild_index(t.index_dir, t.source_files, cfg)
             self._invalidate()
         return True
 
@@ -3431,9 +3431,7 @@ class CommandServer:
             return None
         import os
 
-        from .build import BuildConfig, build_index, read_manifest
-        from .engine import IndexedTable  # noqa: F401  (type context)
-        from .index import open_index
+        from .build import BuildConfig, read_manifest
 
         meta = read_manifest(os.path.join(table.index_dir, "meta.json"))
         cur = BuildConfig.from_fingerprint(meta["config"])
@@ -3464,11 +3462,7 @@ class CommandServer:
             built = self._alt_built = {}
         sig = (alt_dir, tuple(table.source_files), cfg.fingerprint())
         if built.get(alt_dir) != sig:
-            import shutil
-
-            shutil.rmtree(alt_dir, ignore_errors=True)
-            build_index(list(table.source_files), alt_dir, cfg)
-            open_index.cache_clear()
+            _rebuild_index(alt_dir, table.source_files, cfg)
             built[alt_dir] = sig
         return replace(
             table,
@@ -3483,12 +3477,10 @@ class CommandServer:
         """Rebuild a LOADED table's index to cover the newly declared
         sources with the lexicon's tokenizer/normalizer config."""
         import os
-        import shutil
 
         import pyarrow.parquet as pq
 
-        from .build import BuildConfig, build_index, read_manifest, write_manifest
-        from .index import open_index
+        from .build import BuildConfig, read_manifest
 
         t = self.tables[data_name]
         if is_geo:
@@ -3526,14 +3518,7 @@ class CommandServer:
                 "NormalizerAuto" if "KEY_NORMALIZE" in lex_td.flags else ""
             ),
         )
-        nxt = meta.get("next_docid")
-        shutil.rmtree(t.index_dir, ignore_errors=True)
-        build_index(list(t.source_files), t.index_dir, cfg)
-        if nxt is not None:
-            m2 = read_manifest(os.path.join(t.index_dir, "meta.json"))
-            m2["next_docid"] = nxt
-            write_manifest(os.path.join(t.index_dir, "meta.json"), m2)
-        open_index.cache_clear()
+        _rebuild_index(t.index_dir, t.source_files, cfg, meta.get("next_docid"))
         self._no_text_index.discard(data_name)
         self.tables[data_name] = replace(
             t, auto_indexed=False, index_defs=self._index_defs_for(data_name)
@@ -3784,7 +3769,7 @@ class CommandServer:
                 # stored files and rebuild the index in place
                 import pyarrow.parquet as pq
 
-                from .build import BuildConfig, build_index, read_manifest, write_manifest
+                from .build import BuildConfig, read_manifest
 
                 typ = getattr(self, "_created", {}).get(tname, {}).get(col)
                 default = self._ref_default(typ) if typ else ""
@@ -3802,20 +3787,9 @@ class CommandServer:
                     pq.write_table(tbl.set_column(i, col, arr), f)
                     changed = True
                 if changed:
-                    import shutil as _sh
-
                     meta = read_manifest(os.path.join(t.index_dir, "meta.json"))
                     cfg = BuildConfig.from_fingerprint(meta["config"])
-                    nxt = meta.get("next_docid")
-                    _sh.rmtree(t.index_dir, ignore_errors=True)
-                    build_index(list(t.source_files), t.index_dir, cfg)
-                    if nxt is not None:
-                        m2 = read_manifest(os.path.join(t.index_dir, "meta.json"))
-                        m2["next_docid"] = nxt
-                        write_manifest(os.path.join(t.index_dir, "meta.json"), m2)
-                    from .index import open_index
-
-                    open_index.cache_clear()
+                    _rebuild_index(t.index_dir, t.source_files, cfg, meta.get("next_docid"))
                     self._invalidate()
             return True
         if name in self.pending:
@@ -4017,14 +3991,12 @@ class CommandServer:
     def _cmd_cache_limit(self, params: dict) -> int:
         """``/d/cache_limit?max=N`` (proc_cache_limit): returns the
         previous max; with ``max`` sets a new one (0 disables)."""
-        prev = self._cache_max
+        prev = self._select_cache.max_items
         if params.get("max") is not None and params.get("max") != "":
             mx = params["max"]
             if not mx.isdigit():
                 raise ValueError(f"max must be a non-negative integer: {mx!r}")
-            self._cache_max = int(mx)
-            while len(self._select_cache) > self._cache_max:
-                self._select_cache.popitem(last=False)
+            self._select_cache.max_items = int(mx)
         return prev
 
     def _cmd_log_level(self, params: dict) -> bool:

@@ -20,6 +20,8 @@ memoizes per unique dictionary value, the stop-word test is one
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -191,13 +193,25 @@ class TokenFilterStopWord:
         return terms, np.asarray(mask.to_numpy(zero_copy_only=False), bool)
 
 
+def _stem_token(t: str) -> str:
+    # libstemmer needs lowercase input; the reference lowercases
+    # all-upper tokens and restores case after
+    # (plugins/token_filters/stem.c stem_token all_upper)
+    return porter_stem(t.lower()).upper() if t.isupper() else porter_stem(t)
+
+
 class TokenFilterStem:
     """Porter-stem every token (ADD and GET). Vectorized by stemming
     only the unique dictionary values of the batch, memoized across
-    batches (the per-actor chain lives for the actor's lifetime)."""
+    batches (a reader's query chain lives as long as the reader)."""
 
     def __init__(self):
-        self._memo: dict[str, str] = {}
+        # token -> stem, looked up once per distinct token of every
+        # batch: functools' LRU in C, since a lock and a Python call
+        # per token (BoundedCache) measurably slow a stemmed build; a
+        # default-size shard of a code corpus holds ~160k distinct
+        # tokens, and an LRU smaller than that re-stems most of them
+        self._stem = lru_cache(maxsize=1 << 18)(_stem_token)
 
     def apply(self, terms: pa.Array, mode: str):
         if len(terms) == 0:
@@ -207,21 +221,7 @@ class TokenFilterStem:
         dict_arr = pc.dictionary_encode(terms)
         if isinstance(dict_arr, pa.ChunkedArray):
             dict_arr = dict_arr.combine_chunks()
-        uniq = dict_arr.dictionary.to_pylist()
-        memo = self._memo
-        stemmed = []
-        for t in uniq:
-            s = memo.get(t)
-            if s is None:
-                # libstemmer needs lowercase input; the reference
-                # lowercases all-upper tokens and restores case after
-                # (plugins/token_filters/stem.c stem_token all_upper)
-                if t.isupper():
-                    s = porter_stem(t.lower()).upper()
-                else:
-                    s = porter_stem(t)
-                memo[t] = s
-            stemmed.append(s)
+        stemmed = list(map(self._stem, dict_arr.dictionary.to_pylist()))
         new_dict = pa.array(stemmed, type=pa.large_string())
         out = new_dict.take(dict_arr.indices)
         return out, None

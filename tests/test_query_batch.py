@@ -1,4 +1,4 @@
-"""Batch query evaluation (QueryActor pool) + v1 envelope output."""
+"""Batch query evaluation (per-process QueryEngine) + v1 envelope output."""
 
 import pyarrow as pa
 import pytest
@@ -65,9 +65,9 @@ def test_select_v1_envelope(doc_table):
 def test_cache_no_bypasses_result_cache(ray_session, doc_table):
     import pyarrow as pa
 
-    from groonga_ray.engine import QueryActor
+    from groonga_ray.engine import QueryEngine
 
-    actor = QueryActor(doc_table)
+    actor = QueryEngine(doc_table)
     q = pa.table(
         {
             "qid": pa.array([1, 2], pa.int64()),

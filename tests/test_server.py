@@ -173,6 +173,15 @@ def test_status_tokenize_normalize(srv):
     assert status == 200
     st = env[1]
     assert st["tables"] == ["documents"] and isinstance(st["n_queries"], int)
+    # what was served from cache: a repeated select hits the select cache
+    q = "/d/select?table=documents&query=spark&output_columns=_id&limit=3"
+    _get(base, q)
+    before = st["caches"]["select_cache"]["hits"]
+    _get(base, q)
+    caches = _get(base, "/d/status")[1][1]["caches"]
+    assert caches["select_cache"]["hits"] == before + 1
+    assert caches["readers"]["items"] >= 1 and caches["postings"]["misses"] > 0
+    assert set(caches["postings"]) == {"items", "bytes", "hits", "misses", "evictions"}
 
     status, env = _get(
         base, "/d/tokenize?tokenizer=TokenBigramSplitSymbolAlpha&string=abcd"

@@ -115,6 +115,22 @@ def test_delete_by_id_key_filter_then_defrag(srv):
     assert _nhits(base, "query") == n_before
 
 
+def test_delete_then_defrag_with_no_select_between(srv):
+    """The deleted doc stays gone when defrag follows the delete at
+    once: the server's reader was opened before the delete and must
+    not be served again after the compaction."""
+    _, base, _ = srv
+    env = _get(base, "/d/select?table=documents&query=query"
+                     "&output_columns=_id&limit=1")
+    n0, victim = env[1][0][0][0], env[1][0][2][0]
+    assert _get(base, f"/d/delete?table=documents&id={victim}")[1] is True
+    assert _get(base, "/d/defrag?table=documents")[1] is True
+    env = _get(base, "/d/select?table=documents&query=query"
+                     f"&output_columns=_id&limit={n0}")
+    assert env[1][0][0][0] == n0 - 1
+    assert victim not in [r[0] for r in env[1][0][2:]]
+
+
 def test_load_values_param_get(srv):
     """values= as a CGI param works too (reference accepts both)."""
     import urllib.parse
