@@ -450,7 +450,9 @@ def build_shard_run(
     ``read_shard(shard, ...)``'s rows, extra columns allowed) — the
     fused sort+build path passes the just-sorted range slice so stage A
     never re-reads the corpus it just wrote. Manifest fingerprints are
-    identical either way, so resume may freely mix both paths.
+    identical either way, so resume may freely mix both paths; but
+    those rows were just (re)written, so a run left by earlier rows
+    under the same file name and row range is rebuilt, not reused.
     """
     run_dir = os.path.join(runs_base(cfg, index_dir), f"sec={section}", "runs", f"shard={shard.shard_id:05d}")
     man_path = os.path.join(run_dir, "manifest.json")
@@ -464,7 +466,7 @@ def build_shard_run(
         "base": shard.docid_base,
         "config": cfg.fingerprint(),
     }
-    existing = read_manifest(man_path)
+    existing = read_manifest(man_path) if data is None else None
     if existing and existing.get("fingerprint") == fp:
         existing["skipped"] = True
         return existing
@@ -1513,6 +1515,13 @@ def sort_build_index(
         # don't shatter a small corpus into sub-shard ranges
         n_ranges = max(1, min(n_ranges, total_rows // max(1, cfg.target_rows_per_shard) or 1))
         sc = _scatter_to_runs(input_files, key_columns, runs_dir, n_ranges=n_ranges)
+        if not sc["resumed"]:
+            # a fresh scatter may draw other boundaries over other
+            # input: a leftover range file whose row count happens to
+            # match the new plan would be kept by _finalize_fused
+            for f in os.listdir(sorted_dir):
+                if f.startswith("sorted-") and f.endswith(".parquet"):
+                    os.unlink(os.path.join(sorted_dir, f))
         counts = sc["range_counts"]
 
         # shard plan over the FUTURE sorted files — must mirror

@@ -253,9 +253,10 @@ def _scatter_to_runs(
 ) -> dict:
     """Stages 1+2 of the distributed sort: boundary sample + range
     scatter into bucket-row-grouped run files. Returns
-    ``{run_files, n_ranges, per_row, target_rows_per_range,
+    ``{resumed, run_files, n_ranges, per_row, target_rows_per_range,
     range_counts}`` — ``range_counts[i]`` (from run metadata only) lets
-    callers prefix-sum global docid bases before any range is read.
+    callers prefix-sum global docid bases before any range is read;
+    ``resumed`` is False when the runs were scattered afresh.
 
     Resumable: a ``scatter.done.json`` marker pins the input
     fingerprint (file names + row counts), the chosen boundaries and
@@ -324,6 +325,7 @@ def _scatter_to_runs(
             m = None
         if m and m.get("fingerprint") == fingerprint:
             return {
+                "resumed": True,
                 "run_files": sorted(
                     os.path.join(runs_dir, f)
                     for f in os.listdir(runs_dir)
@@ -419,6 +421,7 @@ def _scatter_to_runs(
         )
     os.replace(tmp, marker)
     return {
+        "resumed": False,
         "run_files": run_files,
         "n_ranges": n_ranges,
         "per_row": per_row,

@@ -28,6 +28,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import MappingProxyType
 from urllib.parse import parse_qsl, urlsplit
 
 import pyarrow as pa
@@ -299,9 +300,12 @@ def tsv_envelope(rc, started, elapsed, body, err=None) -> str:
 
 @dataclass
 class TableDef:
-    """A created-but-not-yet-loaded table (proc_table_create /
-    proc_column_create surface, lib/proc.c). Materialized into a real
-    index on the first load; until then select returns an empty set."""
+    """The catalog entry of a table_create'd table for its whole life
+    (the table object of proc_table_create / proc_column_create,
+    lib/proc.c): pending until the first load materializes it into a
+    real index (until then select returns an empty set), loaded after
+    that, pending again after a truncate. Rename and remove move or
+    drop this one object."""
 
     name: str
     flags: str = "TABLE_PAT_KEY"
@@ -310,9 +314,16 @@ class TableDef:
     normalizer: str = ""
     token_filters: tuple = ()
     columns: dict = field(default_factory=dict)   # name -> type
-    indexed: set = field(default_factory=set)     # sources with an index column
+    # sources with a text index column; empty on a loaded table means
+    # every string column was indexed for scans and a multi-column
+    # match has no index to drive it
+    indexed: set = field(default_factory=set)
     geo_indexed: set = field(default_factory=set)  # GeoPoint sources with a geo index
     vector_columns: set = field(default_factory=set)  # COLUMN_VECTOR columns
+    # index columns hosted here: name -> (data table, sources, is_geo)
+    index_columns: dict = field(default_factory=dict)
+    truncated_indexes: set = field(default_factory=set)  # hosted, emptied
+    deleted_terms: set = field(default_factory=set)  # keys deleted while pending
 
 
 class CommandServer:
@@ -336,9 +347,16 @@ class CommandServer:
         self.tables = tables or {}
         self.suggest_datasets = suggest_datasets or {}
         self.data_dir = data_dir          # home of table_create'd tables
-        self.pending: dict[str, TableDef] = {}
-        self._no_text_index: set[str] = set()  # loaded with no declared index
-        self._auto_id: set[str] = set()   # tables whose _id the server assigns
+        # the catalog: one entry per table_create'd table, loaded or not
+        # (a loaded one also has a handle in ``tables`` and its _id is
+        # assigned by the server)
+        self.defs: dict[str, TableDef] = {}
+        self._sgg: dict[str, dict] = {}     # suggest dataset -> learn state
+        self._obj_ids: dict = {}            # catalog object -> grn_obj id
+        self._next_obj_id = 256
+        self._copied: dict[str, str] = {}   # copy_path destination -> source
+        self._alt_built: dict = {}          # sibling index dir -> build signature
+        self._tsv_expander = False          # query_expanders/tsv registered
         # grn_cache: 100 entries by default, /d/cache_limit resizes it
         self._select_cache = BoundedCache(max_items=100)
         from .engine import set_query_expander_resolver
@@ -364,7 +382,6 @@ class CommandServer:
             "table_rename": self._cmd_table_rename,
             "table_tokenize": self._cmd_table_tokenize,
             "truncate": self._cmd_truncate,
-            "suggest": self._cmd_suggest,
             "suggest_create_dataset": self._cmd_suggest_create_dataset,
             "copy_path": self._cmd_copy_path,
             "define_selector": self._cmd_define_selector,
@@ -427,6 +444,14 @@ class CommandServer:
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)
         self._thread: threading.Thread | None = None
+
+    @property
+    def pending(self) -> "MappingProxyType[str, TableDef]":
+        """The created tables that hold no records: never loaded, or
+        truncated since."""
+        return MappingProxyType(
+            {n: td for n, td in self.defs.items() if n not in self.tables}
+        )
 
     # ------------------------------------------------------------ lifecycle
     @property
@@ -573,10 +598,14 @@ class CommandServer:
         from dataclasses import replace
 
         self._select_cache.clear()
-        created = getattr(self, "_created", {})
         for n, t in list(self.tables.items()):
-            if created.get(n) and t.refs:
+            td = self.defs.get(n)
+            if td is not None and td.columns and t.refs:
                 self.tables[n] = replace(t, refs=None)
+
+    def _ddl_table(self, name: str | None) -> dict | None:
+        """The journal entry of a created table (None for registered ones)."""
+        return next((x for x in self._ddl_tables if x["name"] == name), None)
 
     def _table(self, params: dict):
         name = params.get("table")
@@ -599,7 +628,8 @@ class CommandServer:
         import pyarrow.parquet as pq
         from dataclasses import replace
 
-        decls = getattr(self, "_created", {}).get(name)
+        td = self.defs.get(name)
+        decls = td.columns if td is not None else None
         if name in _seen:
             return t
         refs = dict(t.refs or {})
@@ -656,7 +686,7 @@ class CommandServer:
         (_id/_key output, sortby on _id/_key, offset/limit); anything
         deeper returns None so the caller keeps the empty-table path."""
         name = params.get("table")
-        t = next((x for x in self._ddl_tables if x["name"] == name), None)
+        t = self._ddl_table(name)
         if t is None or "NO_KEY" in (t["flags"] or ""):
             return None
         if any(params.get(k) for k in (
@@ -677,10 +707,11 @@ class CommandServer:
             c for c in self._ddl_cols if c["table"] == name
         ]
         col_vals: list[tuple[str, str, dict | object]] = []
+        truncated = self.defs[name].truncated_indexes
         for c in own_cols:
             if c["is_index"]:
                 counts = (
-                    {} if (name, c["name"]) in getattr(self, "_truncated_idx", set())
+                    {} if c["name"] in truncated
                     else self._index_posting_counts(t, c)
                 )
                 col_vals.append((c["name"], "UInt32", counts))
@@ -798,7 +829,8 @@ class CommandServer:
         the main set in the body."""
         from .engine import select
 
-        if params.get("table") in self.pending:
+        td = self.defs.get(params.get("table"))
+        if td is not None and td.name not in self.tables:
             lex_rows = self._lexicon_select(params)
             if lex_rows is not None:
                 return lex_rows
@@ -806,9 +838,7 @@ class CommandServer:
             # (the reference compiles the filter expression before
             # scanning — invalid geo args error even on empty tables)
             if params.get("filter"):
-                self._validate_pending_filter(
-                    self.pending[params["table"]], params["filter"]
-                )
+                self._validate_pending_filter(td, params["filter"])
             qe0 = params.get("query_expander") or params.get("query_expansion")
             if qe0:
                 self._resolve_query_expander(qe0)  # raises on bad spec
@@ -854,13 +884,7 @@ class CommandServer:
         if kwargs.get("filter") and "[" in kwargs["filter"]:
             kwargs["filter"] = self._resolve_record_literals(kwargs["filter"])
         if kwargs.get("filter") and "_key" in kwargs["filter"]:
-            ddl_t0 = next(
-                (
-                    x for x in self._ddl_tables
-                    if x["name"] == params.get("table")
-                ),
-                None,
-            )
+            ddl_t0 = self._ddl_table(params.get("table"))
             if ddl_t0 is not None and (
                 ddl_t0.get("normalizer")
                 or "KEY_NORMALIZE" in (ddl_t0.get("flags") or "")
@@ -889,13 +913,7 @@ class CommandServer:
             # order — KEY order for PAT/DAT-keyed tables (grn_table
             # cursor default, lib/pat.c; visible when limit truncates:
             # suffix_search/patricia_trie_key_with_sis)
-            tddl = next(
-                (
-                    x for x in self._ddl_tables
-                    if x["name"] == params.get("table")
-                ),
-                None,
-            )
+            tddl = self._ddl_table(params.get("table"))
             if tddl is not None and (
                 "PAT_KEY" in (tddl["flags"] or "")
                 or "DAT_KEY" in (tddl["flags"] or "")
@@ -934,7 +952,7 @@ class CommandServer:
                     specs[f"\x00plain{n_plain}"] = {"keys": [key], **plain_opts}
                     n_plain += 1
         specs.update(self._parse_labeled_drilldowns(params))
-        created = getattr(self, "_created", {}).get(params.get("table"), {})
+        created = td.columns if td is not None else {}
         for spec in specs.values():
             for key in spec.get("keys", ()):
                 if created.get(key) in ("Text", "LongText"):
@@ -946,7 +964,7 @@ class CommandServer:
         if specs:
             kwargs["drilldowns"] = specs
         if (
-            params.get("table") in self._no_text_index
+            td is not None and not td.indexed
             and kwargs.get("query")
             and kwargs.get("match_columns")
         ):
@@ -1008,9 +1026,7 @@ class CommandServer:
             ),
             None,
         )
-        ref_t = cdef and next(
-            (x for x in self._ddl_tables if x["name"] == cdef["type"]), None
-        )
+        ref_t = cdef and self._ddl_table(cdef["type"])
         if ref_t is None or "NO_KEY" in (ref_t["flags"] or ""):
             return None
         kind = (
@@ -1041,7 +1057,7 @@ class CommandServer:
         lib/proc.c:330-430): the named table's ``_key`` column maps
         expandable terms to their substitution sub-queries."""
         if "." not in spec:
-            if spec == "QueryExpanderTSV" and getattr(self, "_tsv_expander", False):
+            if spec == "QueryExpanderTSV" and self._tsv_expander:
                 return self._tsv_expander_dict()
             raise ValueError(f"query_expander must be Table.column: {spec!r}")
         import pyarrow.parquet as pq
@@ -1121,13 +1137,15 @@ class CommandServer:
             return
         import pyarrow.parquet as pq
 
+        td = self.defs.get(tname)
+        truncated = td.truncated_indexes if td is not None else ()
         for c in own_idx:
             if c["name"] in rows.column_names:
                 continue
             src = (c["source"] or "").split(",")[0].strip()
             if not src or src not in rows.column_names:
                 continue
-            if (tname, c["name"]) in getattr(self, "_truncated_idx", set()):
+            if c["name"] in truncated:
                 counts = pa.array([0] * rows.num_rows, pa.int64())
             else:
                 # entry count = occurrences of the row's value across
@@ -1211,7 +1229,7 @@ class CommandServer:
             key = _subscript_value(sub)
             if key is None:
                 return m.group(0)
-            td = getattr(self, "_td_archive", {}).get(tname)
+            td = self.defs.get(tname)
             if td is not None and (
                 td.normalizer or "KEY_NORMALIZE" in (td.flags or "")
             ):
@@ -1414,15 +1432,11 @@ class CommandServer:
             cols_req = [
                 c.strip() for c in params["columns"].split(",") if c.strip()
             ]
-            declared = set(
-                (getattr(self, "_created", {}).get(name) or {})
-            )
-            td_chk = self.pending.get(name)
-            if td_chk is not None:
-                declared |= set(td_chk.columns)
-            if declared or td_chk is not None:
+            td_chk = self.defs.get(name)
+            # a loaded table with no declared columns takes any column
+            if td_chk is not None and (td_chk.columns or name in self.pending):
                 for c in cols_req:
-                    if c not in declared and c not in ("_id", "_key"):
+                    if c not in td_chk.columns and c not in ("_id", "_key"):
                         raise ValueError(
                             f"[load] nonexistent column: <{c}>"
                         )
@@ -1475,7 +1489,7 @@ class CommandServer:
         t = self._table(params)
         if not t.docid_column:
             raise ValueError("load requires a docid-column table")
-        if (name or next(iter(self.tables))) in self._auto_id:
+        if (name or next(iter(self.tables))) in self.defs:
             n = self._load_auto(name or next(iter(self.tables)), t, records)
             return n_before_sis if sis_added else n
         tbl = pa.Table.from_pylist(records)
@@ -1623,10 +1637,7 @@ class CommandServer:
         """Cast stored columns to their declared types (column_create
         type=Int16 → arrow int16) so expressions see the real width —
         the reference VM's registers are typed by the column."""
-        types = getattr(self, "_created", {}).get(name)
-        if not types:
-            return tbl
-        for col, typ in types.items():
+        for col, typ in self._column_types(name).items():
             at = self._ARROW_TYPES.get(typ)
             if at is not None and col in tbl.column_names:
                 i = tbl.column_names.index(col)
@@ -1648,7 +1659,7 @@ class CommandServer:
         try:
             return pa.Table.from_pylist(records)
         except (OverflowError, pa.ArrowInvalid):
-            types = getattr(self, "_created", {}).get(name) or {}
+            types = self._column_types(name)
             cols: dict[str, list] = {}
             for r in records:
                 for k in r:
@@ -1660,15 +1671,19 @@ class CommandServer:
                 arrays[k] = pa.array(vals, at) if at is not None else pa.array(vals)
             return pa.table(arrays)
 
+    def _column_types(self, name: str) -> dict:
+        td = self.defs.get(name)
+        return td.columns if td is not None else {}
+
     def _cast_records(self, name: str, records: list) -> list:
-        types = getattr(self, "_created", {}).get(name) or {}
-        vectors = getattr(self, "_vector_cols", {}).get(name, ())
+        td = self.defs.get(name)
+        types = td.columns if td is not None else {}
+        vectors = td.vector_columns if td is not None else ()
+        pending = self.pending
         # key normalization follows the table's OWN declaration (the
         # TableDef's normalizer may have been copied from an index
         # lexicon for tokenizing, which does NOT normalize keys)
-        ddl_t = next(
-            (t for t in self._ddl_tables if t["name"] == name), None
-        )
+        ddl_t = self._ddl_table(name)
         key_norm = ddl_t is not None and bool(
             ddl_t.get("normalizer")
             or "KEY_NORMALIZE" in (ddl_t.get("flags") or "")
@@ -1691,10 +1706,7 @@ class CommandServer:
                 if k in r and not isinstance(r[k], (list, dict)):
                     v = r[k]
                     el_type = types.get(k, "")
-                    ref_td = next(
-                        (t for t in self._ddl_tables if t["name"] == el_type),
-                        None,
-                    )
+                    ref_td = self._ddl_table(el_type)
                     if v in ("", None):
                         r[k] = []
                     elif isinstance(v, str) and ref_td is None:
@@ -1727,7 +1739,7 @@ class CommandServer:
                     # NORMALIZED key (KEY_NORMALIZE / --normalizer on
                     # the referenced table, grn_table_add with
                     # GRN_OBJ_KEY_NORMALIZE)
-                    ref_td = self.pending.get(typ)
+                    ref_td = pending.get(typ)
                     if ref_td is not None and ref_td.normalizer:
                         from .normalize import normalize as _nrm
 
@@ -1765,12 +1777,10 @@ class CommandServer:
             return ""
         if typ.endswith("GeoPoint"):
             return "0x0"  # zero-initialized geo point renders "0x0"
-        ref_td = self.pending.get(typ)
-        key_type = ref_td.key_type if ref_td else getattr(
-            self, "_key_types", {}
-        ).get(typ)
-        if key_type is None:
+        ref_td = self.defs.get(typ)
+        if ref_td is None:
             return None
+        key_type = ref_td.key_type
         if key_type.startswith(("Int", "UInt")):
             return 0
         if key_type in ("Float", "Time"):
@@ -1778,7 +1788,6 @@ class CommandServer:
         if key_type in ("ShortText", "Text", "LongText"):
             return ""
         return None
-        return records
 
     def _load_auto(self, name: str, t, records: list) -> int:
         """load on a server-created (auto-_id) table: reference update
@@ -1852,13 +1861,14 @@ class CommandServer:
             path = os.path.join(loads_dir, f"load_{len(os.listdir(loads_dir)):05d}.parquet")
             pq.write_table(tbl, path)
             _rebuild_index(t.index_dir, [path], cfg, next_id)
+            td = self.defs[name]
             geo_indexes = self._build_geo_indexes(
-                tdir, [path], getattr(self, "_geo_cols", {}).get(name, [])
+                tdir, [path], sorted(td.geo_indexed)
             )
             self.tables[name] = IndexedTable(
                 t.index_dir, [path], "_id", geo_indexes=geo_indexes,
                 index_defs=self._index_defs_for(name),
-                auto_indexed=name in self._no_text_index,
+                auto_indexed=not td.indexed,
             )
             self._invalidate()
         return len(records)
@@ -1869,9 +1879,8 @@ class CommandServer:
         address the index object, lib/expr.c:6050)."""
         defs = {
             f"{lex}.{iname}": srcs
-            for (lex, iname), (dt, srcs, is_geo) in getattr(
-                self, "_index_cols", {}
-            ).items()
+            for lex, td in self.defs.items()
+            for iname, (dt, srcs, is_geo) in td.index_columns.items()
             if dt == data_table and not is_geo and srcs
         }
         return defs or None
@@ -1884,14 +1893,12 @@ class CommandServer:
         suffix that already exists). The created records carry default
         column values and count ids, but load reports only the
         explicitly loaded records."""
-        td = next(
-            (x for x in self._ddl_tables if x["name"] == name), None
-        )
+        td = self._ddl_table(name)
         if td is None or "KEY_WITH_SIS" not in (td["flags"] or ""):
             return records
         existing: set = set()
         t = self.tables.get(name)
-        if t is not None and name not in self.pending:
+        if t is not None:
             import pyarrow.parquet as _pq
 
             for f in t.source_files:
@@ -1971,16 +1978,7 @@ class CommandServer:
         from .build import BuildConfig, build_index, read_manifest, write_manifest
         from .engine import IndexedTable
 
-        td = self.pending[name]
-        if not hasattr(self, "_created"):
-            self._created: dict[str, dict] = {}
-        if not hasattr(self, "_vector_cols"):
-            self._vector_cols: dict[str, set] = {}
-        self._created[name] = dict(td.columns)
-        self._vector_cols[name] = set(td.vector_columns)
-        if not hasattr(self, "_key_types"):
-            self._key_types: dict[str, str] = {}
-        self._key_types[name] = td.key_type
+        td = self.defs[name]
         records = self._cast_records(name, records)
         n_input = len(records)   # the load count includes updates
         if "NO_KEY" not in (td.flags or ""):
@@ -1989,19 +1987,15 @@ class CommandServer:
             # typed to it — are REAL records; an explicit load upserts
             # onto them (grn_table_add returns the existing id —
             # delete/reference/cross, delete/reference/vector_type)
-            tddl = next(
-                (x for x in self._ddl_tables if x["name"] == name), None
-            )
+            tddl = self._ddl_table(name)
             feeds = tddl is not None and any(
                 (
                     c["table"] == name and c["is_index"]
                     and c["type"] in self.tables
-                    and c["type"] not in self.pending
                 )
                 or (
                     c["type"] == name and not c["is_index"]
                     and c["table"] in self.tables
-                    and c["table"] not in self.pending
                 )
                 for c in self._ddl_cols
             )
@@ -2075,7 +2069,7 @@ class CommandServer:
                     f.name for f in tbl.schema
                     if _indexable(f.type) and f.name != "_key"
                     and f.name not in geo_cols
-                    and not self._created[name].get(f.name, "").endswith("GeoPoint")
+                    and not td.columns.get(f.name, "").endswith("GeoPoint")
                 ]
             if not text_cols:
                 # table with no text at all (e.g. numeric-only): index a
@@ -2108,27 +2102,16 @@ class CommandServer:
             meta["next_docid"] = tbl.num_rows + 1
             write_manifest(meta_path, meta)
             geo_indexes = self._build_geo_indexes(tdir, [path], geo_cols)
-            if not hasattr(self, "_geo_cols"):
-                self._geo_cols: dict[str, list] = {}
-            self._geo_cols[name] = geo_cols
+            # with no declared text index, single-column match falls
+            # back to a sequential scan, but a multi-column match has no
+            # index to drive it and matches nothing (grn_table_select
+            # without an index source, lib/expr.c:6103 → 0 hits)
             self.tables[name] = IndexedTable(
                 os.path.join(tdir, "index"), [path], "_id",
                 geo_indexes=geo_indexes,
                 index_defs=self._index_defs_for(name),
                 auto_indexed=not td.indexed,
             )
-            if not td.indexed:
-                # no declared text index: single-column match falls back
-                # to a sequential scan, but a multi-column match_columns
-                # expression has no index to drive it and matches
-                # nothing (grn_table_select without an index source,
-                # lib/expr.c:6103 → 0 hits)
-                self._no_text_index.add(name)
-            self._auto_id.add(name)
-            if not hasattr(self, "_td_archive"):
-                self._td_archive: dict = {}
-            self._td_archive[name] = self.pending[name]
-            del self.pending[name]
             self._invalidate()
         self._refresh_stop_words(name)
         return n_input
@@ -2142,15 +2125,13 @@ class CommandServer:
 
         from .build import read_manifest, write_manifest
 
-        td = self.pending.get(lex_name) or getattr(
-            self, "_td_archive", {}
-        ).get(lex_name)
-        deleted = getattr(self, "_deleted_terms", {}).get(lex_name, set())
+        td = self.defs.get(lex_name)
         if td is None or (
             "TokenFilterStopWord" not in (td.token_filters or ())
-            and not deleted
+            and not td.deleted_terms
         ):
             return
+        deleted = td.deleted_terms
         for c in self._ddl_cols:
             if c["table"] != lex_name or not c["is_index"]:
                 continue
@@ -2233,9 +2214,7 @@ class CommandServer:
                 victims = [
                     _ud.normalize("NFKC", v).lower() for v in victims
                 ]
-            if not hasattr(self, "_deleted_terms"):
-                self._deleted_terms: dict[str, set] = {}
-            self._deleted_terms.setdefault(name0, set()).update(victims)
+            td0.deleted_terms.update(victims)
             self._refresh_stop_words(name0)
             self._invalidate()
             return True
@@ -2298,7 +2277,7 @@ class CommandServer:
                 continue
             uname = c["table"]
             u = self.tables.get(uname)
-            if u is None or uname in self.pending:
+            if u is None:
                 continue
             sch = _pq.read_schema(u.source_files[0])
             if c["name"] not in sch.names or "_key" not in sch.names:
@@ -2349,7 +2328,7 @@ class CommandServer:
         pat = re.compile(re.escape(logical) + r"_(\d{8})$")
         out = [
             (m.group(1), n)
-            for n in list(self.tables) + list(self.pending)
+            for n in {*self.tables, *self.defs}
             if (m := pat.match(n))
         ]
         if not out:
@@ -2528,13 +2507,12 @@ class CommandServer:
             raise ValueError(
                 f"[column][rename] no such column: <{tname}.{old}>"
             )
-        created = getattr(self, "_created", {}).get(tname)
-        if created and old in created:
-            created[new] = created.pop(old)
-        vecs = getattr(self, "_vector_cols", {}).get(tname)
-        if vecs and old in vecs:
-            vecs.discard(old)
-            vecs.add(new)
+        td = self.defs.get(tname)
+        if td is not None and old in td.columns:
+            td.columns[new] = td.columns.pop(old)
+            if old in td.vector_columns:
+                td.vector_columns.discard(old)
+                td.vector_columns.add(new)
         t = self.tables.get(tname)
         if t is not None:
             for f in t.source_files:
@@ -2570,7 +2548,7 @@ class CommandServer:
         body is [columns, rows...] with no hit count."""
         name = params.get("table")
         col = params.get("column") or ""
-        if name not in self.tables and name not in self.pending:
+        if name not in self.tables and name not in self.defs:
             raise ValueError(f"[range_filter] unknown table: <{name}>")
 
         def _lit(v: str) -> str:
@@ -2899,7 +2877,7 @@ class CommandServer:
                         continue
                     for e in v if isinstance(v, list) else [v]:
                         seen.setdefault(_knorm(e), None)
-        for gone in getattr(self, "_deleted_terms", {}).get(name, ()):
+        for gone in self.defs[name].deleted_terms:
             seen.pop(gone, None)
         return list(seen)
 
@@ -3088,7 +3066,7 @@ class CommandServer:
         materializes it as a real index with server-assigned ``_id``
         docids."""
         name = params["name"]
-        if not name or name in self.tables or name in self.pending:
+        if not name or name in self.tables or name in self.defs:
             raise ValueError(f"table already exists or bad name: {name!r}")
         # grn_table_create resolves tokenizer/normalizer/filter names at
         # DDL time and fails the whole create on an unknown name (the
@@ -3147,7 +3125,7 @@ class CommandServer:
                 "token_filters": params.get("token_filters") or "",
             }
         )
-        self.pending[name] = TableDef(
+        self.defs[name] = TableDef(
             name=name,
             flags=params.get("flags") or "TABLE_PAT_KEY",
             key_type=params.get("key_type") or "ShortText",
@@ -3193,7 +3171,7 @@ class CommandServer:
             # its indexed column(s); the lexicon's tokenizer/normalizer
             # config governs the index. Also accept the direct form
             # (index declared on the data table itself).
-            if name not in self.pending and name not in self.tables:
+            if name not in self.defs and name not in self.tables:
                 # the lexicon table must already exist (grn_column_create
                 # resolves ``table`` first; the sharding fixtures create
                 # indexes on a Terms table whose table_create failed)
@@ -3260,11 +3238,11 @@ class CommandServer:
                     (data_td.geo_indexed if is_geo else data_td.indexed).add(src)
             # provenance for column_remove (grn_obj_remove of an index
             # column drops the index, lib/db.c:8900)
-            if not hasattr(self, "_index_cols"):
-                self._index_cols: dict = {}
-            self._index_cols[(name, params["name"])] = (
-                params.get("type") or name, srcs, is_geo
-            )
+            lex_td = self.defs.get(name)
+            if lex_td is not None:
+                lex_td.index_columns[params["name"]] = (
+                    params.get("type") or name, srcs, is_geo
+                )
             if td is not None and td is not data_td and not (is_geo or is_range):
                 data_td.default_tokenizer = td.default_tokenizer
                 # the KEY_NORMALIZE table flag is the legacy spelling
@@ -3275,7 +3253,7 @@ class CommandServer:
                 )
                 data_td.token_filters = td.token_filters
             data_name = params.get("type") or name
-            if data_name in self.tables and data_name not in self.pending:
+            if data_name in self.tables:
                 # OFFLINE build: the data table is already loaded, so
                 # the new index builds now over the stored records
                 # (grn_obj_set_info GRN_INFO_SOURCE triggers
@@ -3312,9 +3290,10 @@ class CommandServer:
                 c for c in self._ddl_cols if c not in dropped
             ]
             for c in dropped:
-                getattr(self, "_index_cols", {}).pop(
-                    (c["table"], c["name"]), None
-                )
+                td = self.defs.get(c["table"])
+                if td is not None:
+                    td.index_columns.pop(c["name"], None)
+                    td.truncated_indexes.discard(c["name"])
         return ok
 
     def _column_remove_inner(self, params: dict) -> bool:
@@ -3322,42 +3301,33 @@ class CommandServer:
         grn_obj_remove): removing an INDEX column drops the index (the
         data stays); removing a data column drops it from the pending
         schema / declared types."""
-        from dataclasses import replace
-
         table, name = params.get("table"), params.get("name")
-        info = getattr(self, "_index_cols", {}).pop((table, name), None)
+        td = self.defs.get(table or "")
+        info = td.index_columns.pop(name, None) if td is not None else None
         if info is not None:
             data_name, srcs, is_geo = info
-            dtd = self.pending.get(data_name)
+            dtd = self.defs.get(data_name)
             for src in srcs:
-                if dtd is not None:
-                    (dtd.geo_indexed if is_geo else dtd.indexed).discard(src)
                 if is_geo:
-                    if src in getattr(self, "_geo_cols", {}).get(data_name, []):
-                        self._geo_cols[data_name] = [
-                            c for c in self._geo_cols[data_name] if c != src
-                        ]
+                    if dtd is not None:
+                        dtd.geo_indexed.discard(src)
                     t = self.tables.get(data_name)
                     if t is not None and t.geo_indexes and src in t.geo_indexes:
                         gi = {k: v for k, v in t.geo_indexes.items() if k != src}
                         self.tables[data_name] = replace(
                             t, geo_indexes=gi or None
                         )
+                elif dtd is not None and data_name in self.pending:
+                    # a loaded table's built index keeps the section
+                    dtd.indexed.discard(src)
             self._invalidate()
             return True
-        td = self.pending.get(table or "")
         if td is not None and name in td.columns:
             del td.columns[name]
-            td.vector_columns.discard(name)
-            td.indexed.discard(name)
-            self._invalidate()
-            return True
-        if table in self.tables and name in getattr(self, "_created", {}).get(table, {}):
-            del self._created[table][name]
-            self._ddl_cols = [
-                c for c in self._ddl_cols
-                if not (c["table"] == table and c["name"] == name)
-            ]
+            if table in self.pending:
+                # a loaded table's stored files and index keep the column
+                td.vector_columns.discard(name)
+                td.indexed.discard(name)
             self._invalidate()
             return True
         raise ValueError(f"column_remove: unknown column {table}.{name}")
@@ -3388,17 +3358,14 @@ class CommandServer:
                 )
         self._ddl_tables = [t for t in self._ddl_tables if t["name"] != name]
         self._ddl_cols = [c for c in self._ddl_cols if c["table"] != name]
-        if name in self.pending:
-            del self.pending[name]
-        elif name in self.tables:
-            t = self.tables.pop(name)
-            if self.data_dir and t.index_dir.startswith(
-                os.path.join(self.data_dir, "")
-            ):
-                shutil.rmtree(os.path.dirname(t.index_dir), ignore_errors=True)
-            self._auto_id.discard(name)
-        else:
+        td = self.defs.pop(name, None)
+        t = self.tables.pop(name, None)
+        if td is None and t is None:
             raise ValueError(f"unknown table: {name}")
+        if t is not None and self.data_dir and t.index_dir.startswith(
+            os.path.join(self.data_dir, "")
+        ):
+            shutil.rmtree(os.path.dirname(t.index_dir), ignore_errors=True)
         self._invalidate()
         return True
 
@@ -3420,14 +3387,12 @@ class CommandServer:
         if not m:
             return None
         lexname, iname = m.group(1), m.group(2)
-        entry = getattr(self, "_index_cols", {}).get((lexname, iname))
+        lex_td = self.pending.get(lexname)
+        entry = lex_td.index_columns.get(iname) if lex_td is not None else None
         if entry is None:
             return None
         data, srcs, is_geo = entry
         if data != tname or is_geo or not srcs:
-            return None
-        lex_td = self.pending.get(lexname)
-        if lex_td is None:
             return None
         import os
 
@@ -3457,13 +3422,10 @@ class CommandServer:
             normalizer=want_norm,
         )
         alt_dir = f"{table.index_dir}@{lexname}.{iname}"
-        built = getattr(self, "_alt_built", None)
-        if built is None:
-            built = self._alt_built = {}
         sig = (alt_dir, tuple(table.source_files), cfg.fingerprint())
-        if built.get(alt_dir) != sig:
+        if self._alt_built.get(alt_dir) != sig:
             _rebuild_index(alt_dir, table.source_files, cfg)
-            built[alt_dir] = sig
+            self._alt_built[alt_dir] = sig
         return replace(
             table,
             index_dir=alt_dir,
@@ -3483,12 +3445,11 @@ class CommandServer:
         from .build import BuildConfig, read_manifest
 
         t = self.tables[data_name]
+        td = self.defs.get(data_name)
         if is_geo:
-            geo_cols = sorted(
-                set((getattr(self, "_geo_cols", {}).get(data_name) or [])) | set(srcs)
-            )
-            self._geo_cols = getattr(self, "_geo_cols", {})
-            self._geo_cols[data_name] = geo_cols
+            if td is not None:
+                td.geo_indexed.update(srcs)
+            geo_cols = sorted(set(t.geo_indexes or ()) | set(srcs))
             tdir = os.path.dirname(t.index_dir)
             geo_indexes = self._build_geo_indexes(
                 tdir, list(t.source_files), geo_cols
@@ -3519,7 +3480,8 @@ class CommandServer:
             ),
         )
         _rebuild_index(t.index_dir, t.source_files, cfg, meta.get("next_docid"))
-        self._no_text_index.discard(data_name)
+        if td is not None:
+            td.indexed.update(cols)
         self.tables[data_name] = replace(
             t, auto_indexed=False, index_defs=self._index_defs_for(data_name)
         )
@@ -3534,8 +3496,6 @@ class CommandServer:
         groonga-suggest-create-dataset, which emits the item_/pair_/
         sequence_/event_/configuration DDL)."""
         name = params.get("name") or ""
-        if not hasattr(self, "_sgg"):
-            self._sgg: dict = {}
         self._sgg[name] = {
             "items": OrderedDict(),   # norm key -> {"boost": i, "kana": [..]}
             "events": [],             # arrival order: (seq, time, item, type)
@@ -3555,7 +3515,7 @@ class CommandServer:
         """Intercept loads into a suggest dataset's tables
         (configuration / item_<ds> / event_<ds>). Returns the loaded
         count, or None when the load isn't suggest-related."""
-        sgg = getattr(self, "_sgg", None)
+        sgg = self._sgg
         if not sgg or not name:
             return None
         if name == "configuration":
@@ -3681,9 +3641,7 @@ class CommandServer:
         from .pipelines.suggest import SuggestDataset
 
         table = params.get("table") or ""
-        if not table.startswith("item_") or table[len("item_"):] not in getattr(
-            self, "_sgg", {}
-        ):
+        if not table.startswith("item_") or table[len("item_"):] not in self._sgg:
             # constructor-registered on-disk datasets
             return self._cmd_suggest_dirs(params)
         ds = table[len("item_"):]
@@ -3750,7 +3708,7 @@ class CommandServer:
         name = params.get("target_name") or params.get("table") or ""
         if "." in name:
             tname, col = name.split(".", 1)
-            if tname not in self.tables and tname not in self.pending:
+            if tname not in self.tables and tname not in self.defs:
                 raise ValueError(f"[truncate] no such target: <{name}>")
             if any(
                 c["table"] == tname and c["name"] == col and c["is_index"]
@@ -3758,9 +3716,8 @@ class CommandServer:
             ):
                 # index-column truncate: postings go, the lexicon keys
                 # stay (grn_column_truncate on a COLUMN_INDEX)
-                if not hasattr(self, "_truncated_idx"):
-                    self._truncated_idx: set = set()
-                self._truncated_idx.add((tname, col))
+                if tname in self.defs:
+                    self.defs[tname].truncated_indexes.add(col)
                 return True
             t = self.tables.get(tname)
             if t is not None:
@@ -3771,7 +3728,7 @@ class CommandServer:
 
                 from .build import BuildConfig, read_manifest
 
-                typ = getattr(self, "_created", {}).get(tname, {}).get(col)
+                typ = self._column_types(tname).get(col)
                 default = self._ref_default(typ) if typ else ""
                 changed = False
                 for f in t.source_files:
@@ -3792,41 +3749,32 @@ class CommandServer:
                     _rebuild_index(t.index_dir, t.source_files, cfg, meta.get("next_docid"))
                     self._invalidate()
             return True
-        if name in self.pending:
-            return True  # never loaded: already empty
-        if name in self.tables:
-            t = self.tables.pop(name)
-            td = getattr(self, "_td_archive", {}).get(name)
-            if td is None:
-                raise ValueError(f"[truncate] no such target: <{name}>")
-            if self.data_dir and t.index_dir.startswith(
-                os.path.join(self.data_dir, "")
-            ):
-                shutil.rmtree(os.path.dirname(t.index_dir), ignore_errors=True)
-            self.pending[name] = td
-            self._auto_id.discard(name)
-            self._invalidate()
-            return True
-        raise ValueError(f"[truncate] no such target: <{name}>")
+        if name not in self.defs:
+            # externally registered tables have no catalog entry
+            raise ValueError(f"[truncate] no such target: <{name}>")
+        t = self.tables.pop(name, None)
+        if t is None:
+            return True  # pending: already empty
+        if self.data_dir and t.index_dir.startswith(
+            os.path.join(self.data_dir, "")
+        ):
+            shutil.rmtree(os.path.dirname(t.index_dir), ignore_errors=True)
+        self._invalidate()
+        return True
 
     def _cmd_table_rename(self, params: dict) -> bool:
         """``/d/table_rename?name=X&new_name=Y`` (proc_table_rename) —
         catalog rename; files stay in place."""
         name, new = params["name"], params["new_name"]
-        if new in self.tables or new in self.pending:
+        if new in self.tables or new in self.defs:
             raise ValueError(f"table already exists: {new}")
-        if name in self.pending:
-            self.pending[new] = self.pending.pop(name)
-            self.pending[new].name = new
-        elif name in self.tables:
-            self.tables[new] = self.tables.pop(name)
-            if name in self._auto_id:
-                self._auto_id.discard(name)
-                self._auto_id.add(new)
-            if name in getattr(self, "_created", {}):
-                self._created[new] = self._created.pop(name)
-        else:
+        if name not in self.tables and name not in self.defs:
             raise ValueError(f"unknown table: {name}")
+        if name in self.defs:
+            self.defs[new] = self.defs.pop(name)
+            self.defs[new].name = new
+        if name in self.tables:
+            self.tables[new] = self.tables.pop(name)
         for t in self._ddl_tables:
             if t["name"] == name:
                 t["name"] = new
@@ -3878,7 +3826,7 @@ class CommandServer:
             chain = build_chain({"token_filters": tf, "stop_words": sw})
             stream = apply_chain_stream(chain, stream, mode)
         toks = [{"value": t.term, "position": t.pos} for t in stream.tokens]
-        if mode == "add" and (name in self.pending or name in self.tables):
+        if mode == "add" and (name in self.defs or name in self.tables):
             # ADD inserts each token into the lexicon table itself
             # (grn_token_cursor GRN_TOKEN_ADD → grn_pat_add)
             import json as _json
@@ -4061,8 +4009,6 @@ class CommandServer:
         """grntest's ``#@copy-path src dst`` directive: record the
         fixture file under its destination label (the tsv query
         expander reads it)."""
-        if not hasattr(self, "_copied"):
-            self._copied: dict[str, str] = {}
         self._copied[params.get("dst", "")] = params.get("src_abs", "")
         return True
 
@@ -4073,7 +4019,7 @@ class CommandServer:
         import os
 
         path = None
-        for dst, src in getattr(self, "_copied", {}).items():
+        for dst, src in self._copied.items():
             if dst.endswith("synonyms.tsv"):
                 path = src
         path = os.environ.get("GRN_QUERY_EXPANDER_TSV_SYNONYMS_FILE", path)
@@ -4101,9 +4047,6 @@ class CommandServer:
         """Sequential object ids from 256, in creation order — the
         reference's grn_obj ids that table_list/column_list render
         (lib/proc.c proc_table_list); path is db/db.%07x of the id."""
-        if not hasattr(self, "_obj_ids"):
-            self._obj_ids: dict = {}
-            self._next_obj_id = 256
         if key not in self._obj_ids:
             self._obj_ids[key] = self._next_obj_id
             self._next_obj_id += 1
@@ -4154,7 +4097,7 @@ class CommandServer:
         per column in creation order — (id, name, path, type
         var|fix|index, flags, domain, range, [sources])."""
         name = params.get("table")
-        ddl_t = next((t for t in self._ddl_tables if t["name"] == name), None)
+        ddl_t = self._ddl_table(name)
         header = [
             ["id", "UInt32"], ["name", "ShortText"], ["path", "ShortText"],
             ["type", "ShortText"], ["flags", "ShortText"],

@@ -505,6 +505,44 @@ def test_sort_build_index_partial_resume(built, tmp_path):
         assert json.load(fh) == stats1
 
 
+def test_sort_build_index_rescatter_drops_stale_ranges(built, tmp_path):
+    """A fresh scatter (no valid sort markers) must not keep a leftover
+    sorted range file because its row count matches the new plan: input
+    rewritten under the same name and row count, with a term only the
+    new text has, is searchable after the rebuild."""
+    import shutil
+
+    import pyarrow as pa
+
+    from groonga_ray.build import sort_build_index
+    from groonga_ray.engine import IndexedTable, select
+
+    files, _, cfg, _ = built
+    tbl = pa.concat_tables([pq.read_table(f) for f in sorted(files)])
+    u = tmp_path / "u"
+    u.mkdir()
+    src = str(u / "in.parquet")
+    pq.write_table(tbl, src)
+    sorted_dir, idx = str(tmp_path / "s"), str(tmp_path / "i")
+    sort_build_index([src], ["repo", "path"], sorted_dir, idx, cfg)
+
+    os.unlink(os.path.join(sorted_dir, "sort.done.json"))
+    shutil.rmtree(os.path.join(sorted_dir, "_sort_runs"), ignore_errors=True)
+    content = tbl.column("content").to_pylist()
+    content[7] += " zzfreshterm"
+    i = tbl.column_names.index("content")
+    pq.write_table(tbl.set_column(i, "content", pa.array(content)), src)
+    meta = sort_build_index([src], ["repo", "path"], sorted_dir, idx, cfg)
+    assert meta["n_docs"] == tbl.num_rows
+
+    sorted_files = [os.path.join(sorted_dir, f) for f in meta["sorted_files"]]
+    res = select(
+        IndexedTable(idx, sorted_files), query="zzfreshterm",
+        match_columns="content", output_columns=("_id",),
+    )
+    assert res["hits"] == 1
+
+
 def _runs_base_of(cfg, index_dir):
     from groonga_ray.build import runs_base
 

@@ -172,7 +172,6 @@ def test_shared_reader_under_eight_threads(zipf_index):
     reader = open_index(table.index_dir)
     for si in _section_indexes(reader):   # force constant eviction
         si.caches["postings"].max_bytes = 16 << 10
-        si.caches["posting_rows"].max_items = 8
         si.caches["posting_row_groups"].max_items = 2
         si.caches["term_ids"].max_items = 8
     expected = {q: _answer(table, q) for q in QUERIES}

@@ -286,3 +286,106 @@ def test_catalog_stream_matches_golden(ray_session, tmp_path):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"command {i} ({w[0]}) diverged"
+
+
+def _run(server: CommandServer, script: str) -> list:
+    return [server.dispatch(n, p)[:3] for n, p, _ in parse_script(script)]
+
+
+def test_renamed_table_keeps_its_vector_columns(ray_session, tmp_path):
+    server = CommandServer(data_dir=str(tmp_path))
+    out = _run(server, """
+table_create V TABLE_HASH_KEY ShortText
+column_create V tags COLUMN_VECTOR ShortText
+load --table V
+[{"_key":"a","tags":["q"]}]
+table_rename V W
+load --table W
+[{"_key":"b","tags":"r"}]
+select W --output_columns _key,tags --sortby _key
+""")
+    assert out[-2] == (0, 1, None)
+    assert out[-1][1][0][2:] == [["a", ["q"]], ["b", ["r"]]]
+
+
+def test_recreated_table_forgets_removed_columns(ray_session, tmp_path):
+    server = CommandServer(data_dir=str(tmp_path))
+    out = _run(server, """
+table_create T TABLE_HASH_KEY ShortText
+column_create T old COLUMN_SCALAR ShortText
+load --table T
+[{"_key":"a","old":"x"}]
+table_remove T
+table_create T TABLE_HASH_KEY ShortText
+column_create T new COLUMN_SCALAR ShortText
+load --table T --columns _key,old
+[["b","y"]]
+""")
+    assert out[-1] == (-22, None, "[load] nonexistent column: <old>")
+
+
+def test_catalog_lives_in_table_defs():
+    """Per-table facts live in each table's TableDef, and every
+    server-wide registry is declared in ``__init__``: no method adds a
+    ``self`` attribute of its own, and none probes for one with
+    ``hasattr``/``getattr``."""
+    import ast
+
+    import groonga_ray.server as server_mod
+
+    with open(server_mod.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    cls = next(
+        n for n in tree.body
+        if isinstance(n, ast.ClassDef) and n.name == "CommandServer"
+    )
+
+    def self_attrs(fn) -> dict:
+        out = {}
+        for node in ast.walk(fn):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            for t in targets:
+                for e in ast.walk(t):
+                    if (
+                        isinstance(e, ast.Attribute)
+                        and isinstance(e.value, ast.Name)
+                        and e.value.id == "self"
+                        and isinstance(e.ctx, ast.Store)
+                    ):
+                        out.setdefault(e.attr, e.lineno)
+        return out
+
+    methods = [
+        n for n in cls.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    declared = set(self_attrs(next(m for m in methods if m.name == "__init__")))
+    undeclared = sorted(
+        f"{m.name}:{line} self.{attr}"
+        for m in methods if m.name != "__init__"
+        for attr, line in self_attrs(m).items()
+        if attr not in declared
+    )
+    assert not undeclared, f"attributes set outside __init__: {undeclared}"
+    probes = sorted(
+        f"line {node.lineno}: {node.func.id}(self, ...)"
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "self"
+        and (
+            node.func.id == "hasattr"
+            or (
+                node.func.id == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            )
+        )
+    )
+    assert not probes, f"attribute probes on self: {probes}"
