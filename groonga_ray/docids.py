@@ -242,6 +242,16 @@ def sort_input_files(
     return sorted(out)
 
 
+def _run_rows(runs_dir: str) -> list:
+    """``[[name, rows], ...]`` of the run files in ``runs_dir``, by name
+    (footer metadata only)."""
+    return [
+        [f, pq.ParquetFile(os.path.join(runs_dir, f)).metadata.num_rows]
+        for f in sorted(os.listdir(runs_dir))
+        if f.endswith(".parquet")
+    ]
+
+
 def _scatter_to_runs(
     files: list[str],
     key_columns: list[str],
@@ -259,8 +269,9 @@ def _scatter_to_runs(
     ``resumed`` is False when the runs were scattered afresh.
 
     Resumable: a ``scatter.done.json`` marker pins the input
-    fingerprint (file names + row counts), the chosen boundaries and
-    the counts; a rerun with a valid marker skips both stages, so the
+    fingerprint (file names + row counts), the chosen boundaries, the
+    counts and each run file's name and row count; a rerun whose marker
+    and run files both match skips both stages, so the
     fused build's kill/resume never repeats the corpus-wide pass.
     """
     import base64
@@ -276,7 +287,8 @@ def _scatter_to_runs(
     os.makedirs(runs_dir, exist_ok=True)
     marker = os.path.join(runs_dir, "scatter.done.json")
 
-    file_rows = [(os.path.basename(f), pq.ParquetFile(f).metadata.num_rows) for f in files]
+    # lists, not tuples: the fingerprint is compared with its JSON copy
+    file_rows = [[os.path.basename(f), pq.ParquetFile(f).metadata.num_rows] for f in files]
     total = sum(n for _, n in file_rows)
     # byte-aware sizing: a range is sorted IN MEMORY by one finalize
     # task and scatter batches are fully materialized per task, so both
@@ -323,14 +335,19 @@ def _scatter_to_runs(
                 m = json.load(fh)
         except (OSError, json.JSONDecodeError):
             m = None
+        runs = None
         if m and m.get("fingerprint") == fingerprint:
+            try:
+                runs = _run_rows(runs_dir)
+            except (OSError, ValueError):
+                pass
+        # the run files must still be the ones the marker counted: a
+        # missing or extra run, or one of another length, would drop or
+        # add rows
+        if runs is not None and runs == m.get("runs"):
             return {
                 "resumed": True,
-                "run_files": sorted(
-                    os.path.join(runs_dir, f)
-                    for f in os.listdir(runs_dir)
-                    if f.endswith(".parquet")
-                ),
+                "run_files": [os.path.join(runs_dir, f) for f, _ in runs],
                 "n_ranges": n_ranges,
                 "per_row": float(m["per_row"]),
                 "target_rows_per_range": int(m["target_rows_per_range"]),
@@ -386,11 +403,8 @@ def _scatter_to_runs(
         _scatter, batch_format="pyarrow", batch_size=batch_rows
     ).materialize()
 
-    run_files = sorted(
-        os.path.join(runs_dir, f)
-        for f in os.listdir(runs_dir)
-        if f.endswith(".parquet")
-    )
+    runs = _run_rows(runs_dir)
+    run_files = [os.path.join(runs_dir, f) for f, _ in runs]
     # per-range row counts from run METADATA only (each row group holds
     # one bucket; its stats min == the bucket id)
     range_counts = np.zeros(n_ranges, np.int64)
@@ -414,6 +428,7 @@ def _scatter_to_runs(
                     base64.b64encode(b).decode() for b in boundaries
                 ],
                 "range_counts": range_counts.tolist(),
+                "runs": runs,
                 "per_row": per_row,
                 "target_rows_per_range": target_rows_per_range,
             },

@@ -57,6 +57,20 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return buf
 
 
+class Server(socketserver.ThreadingTCPServer):
+    """The GQTP and memcached listener. Accepted connections set
+    TCP_NODELAY: a reply of several sends is not held for the client's
+    delayed ACK."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def get_request(self):
+        conn, addr = super().get_request()
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn, addr
+
+
 def send_frame(
     sock: socket.socket,
     body: bytes,
@@ -141,10 +155,6 @@ class GqtpServer:
                     pending = b""
                     if not outer._serve_one(self.request, text):
                         return
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
 
         self._server = Server((host, port), Handler)
         self._thread: threading.Thread | None = None

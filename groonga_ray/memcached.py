@@ -42,7 +42,7 @@ import struct
 import threading
 import time
 
-from .gqtp import _recv_exact
+from .gqtp import Server, _recv_exact
 
 MAGIC_REQ = 0x80
 MAGIC_RES = 0x81
@@ -109,10 +109,6 @@ class MemcachedServer:
                         return
                     if not outer._op(self.request, op, keylen, extralen, body, opaque, cas):
                         return
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
 
         self._server = Server((host, port), Handler)
         self._thread: threading.Thread | None = None

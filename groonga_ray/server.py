@@ -417,6 +417,9 @@ class CommandServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # headers and body are two sends: with Nagle on, the body
+            # waits ~40 ms for the client's delayed ACK
+            disable_nagle_algorithm = True
 
             def log_message(self, *a):  # quiet
                 pass
@@ -2043,7 +2046,13 @@ class CommandServer:
         with self._mutate_lock:
             if self.data_dir is None:
                 self.data_dir = tempfile.mkdtemp(prefix="groonga_ray_srv_")
-            tdir = os.path.join(self.data_dir, name)
+            # a renamed table keeps its directory (table_rename), so a
+            # new table of its old name needs another one
+            used = {os.path.dirname(t.index_dir) for t in self.tables.values()}
+            tdir, k = os.path.join(self.data_dir, name), 0
+            while tdir in used:
+                k += 1
+                tdir = os.path.join(self.data_dir, f"{name}.{k}")
             loads_dir = os.path.join(tdir, "loads")
             os.makedirs(loads_dir, exist_ok=True)
             path = os.path.join(loads_dir, "load_00000.parquet")
@@ -3718,6 +3727,7 @@ class CommandServer:
                 # stay (grn_column_truncate on a COLUMN_INDEX)
                 if tname in self.defs:
                     self.defs[tname].truncated_indexes.add(col)
+                self._invalidate()
                 return True
             t = self.tables.get(tname)
             if t is not None:

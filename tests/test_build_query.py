@@ -639,6 +639,87 @@ def test_scatter_orphan_runs_cleared(ray_session, tmp_path):
     assert total == 2000  # orphan rows must NOT leak in
 
 
+def test_scatter_resume_checks_its_run_files(ray_session, tmp_path):
+    """A run file lost after a completed scatter must not be resumed
+    past: the marker's run list no longer matches, so the rerun
+    re-scatters (regression: the resume listed whatever run files were
+    left and silently dropped the lost file's rows)."""
+    import pyarrow as pa
+
+    from groonga_ray.docids import _scatter_to_runs
+
+    tbl = pa.table({
+        "k": pa.array([f"key{i:04d}" for i in np.random.default_rng(5).permutation(3000)]),
+        "v": pa.array(np.arange(3000, dtype=np.int64)),
+    })
+    src = tmp_path / "in.parquet"
+    pq.write_table(tbl, str(src))
+    runs_dir = str(tmp_path / "runs")
+
+    def run_rows(files):
+        return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+
+    # 1 KB batches: one scatter batch per 1,024 rows, so several runs
+    first = _scatter_to_runs([str(src)], ["k"], runs_dir, n_ranges=4, target_batch_bytes=1024)
+    assert not first["resumed"] and len(first["run_files"]) >= 2
+    assert run_rows(first["run_files"]) == 3000
+
+    again = _scatter_to_runs([str(src)], ["k"], runs_dir, n_ranges=4, target_batch_bytes=1024)
+    assert again["resumed"] and again["run_files"] == first["run_files"]
+
+    os.unlink(first["run_files"][0])
+    sc = _scatter_to_runs([str(src)], ["k"], runs_dir, n_ranges=4, target_batch_bytes=1024)
+    assert not sc["resumed"]
+    assert run_rows(sc["run_files"]) == 3000 == int(sc["range_counts"].sum())
+
+
+def test_sort_build_index_resumes_a_finished_scatter(built, tmp_path, monkeypatch):
+    """A kill after the scatter but before every range file is written
+    leaves the runs and their marker: the rerun reuses them (no second
+    scatter) and writes the missing range file from them."""
+    import glob as _glob
+    import shutil
+
+    import pyarrow as pa
+
+    import groonga_ray.docids as docids_mod
+    from groonga_ray.build import sort_build_index
+
+    files, _, cfg, _ = built
+    tbl = pa.concat_tables([pq.read_table(f) for f in sorted(files)])
+    shuffled = tbl.take(pa.array(np.random.default_rng(23).permutation(tbl.num_rows)))
+    u = tmp_path / "u"
+    u.mkdir()
+    pq.write_table(shuffled, str(u / "in.parquet"))
+    sorted_dir, idx = str(tmp_path / "s"), str(tmp_path / "i")
+
+    # keep the runs that a finished sort would delete
+    rmtree = shutil.rmtree
+    monkeypatch.setattr(
+        shutil, "rmtree",
+        lambda p, *a, **k: None if str(p).endswith("_sort_runs") else rmtree(p, *a, **k),
+    )
+    meta1 = sort_build_index([str(u / "in.parquet")], ["repo", "path"], sorted_dir, idx, cfg)
+    with open(os.path.join(idx, "stats.json")) as fh:
+        stats1 = json.load(fh)
+    os.unlink(os.path.join(sorted_dir, "sort.done.json"))
+    sf = sorted(_glob.glob(os.path.join(sorted_dir, "sorted-*.parquet")))
+    os.unlink(sf[0])
+
+    calls = []
+    scatter = docids_mod._scatter_to_runs
+    monkeypatch.setattr(
+        docids_mod, "_scatter_to_runs",
+        lambda *a, **k: calls.append(scatter(*a, **k)) or calls[-1],
+    )
+    meta2 = sort_build_index([str(u / "in.parquet")], ["repo", "path"], sorted_dir, idx, cfg)
+    assert [c["resumed"] for c in calls] == [True]
+    assert os.path.exists(sf[0])
+    assert meta2["n_docs"] == meta1["n_docs"]
+    with open(os.path.join(idx, "stats.json")) as fh:
+        assert json.load(fh) == stats1
+
+
 def test_composite_key_uint64_and_nulls(tmp_path):
     """uint64 keys >= 2^63 must sort AFTER small values (regression:
     int64 routing wrapped them below zero); numeric null keys raise."""

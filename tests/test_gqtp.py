@@ -149,3 +149,25 @@ def test_non_gqtp_bytes_rejected(gqtp):
         assert sock.recv(64) == b""
     finally:
         sock.close()
+
+
+def test_three_command_frame_is_not_held_by_delayed_ack(gqtp):
+    # one request, three reply frames: without TCP_NODELAY the second
+    # and third wait ~40 ms for the client's delayed ACK
+    import statistics
+    import time
+
+    host, port = gqtp
+    sock = socket.create_connection((host, port), timeout=10)
+    times = []
+    try:
+        for _ in range(10):
+            t0 = time.perf_counter()
+            send_frame(sock, b"status\nstatus\nstatus", flags=FLAG_TAIL)
+            for _ in range(3):
+                header, body = recv_frame(sock)
+                assert header[5] == 0 and "version" in json.loads(body)
+            times.append(time.perf_counter() - t0)
+    finally:
+        sock.close()
+    assert statistics.median(times) < 0.020

@@ -186,3 +186,28 @@ def test_quit_closes(mc_host=None):
     assert sock.recv(16) == b""
     sock.close()
     server.stop()
+
+
+def test_pipelined_gets_are_not_held_by_delayed_ack(mc):
+    # GETQ, GETQ, GET in one segment: three replies, the last two held
+    # ~40 ms for the client's delayed ACK without TCP_NODELAY. NOOP
+    # sends no reply here, so the batch ends with GET.
+    import statistics
+
+    OP_GETQ = 0x09
+    for key in (b"pa", b"pb"):
+        _set(mc, key, b"v-" + key)
+        assert _res(mc)[0] == 0
+
+    def frame(op, key):
+        return HEADER.pack(MAGIC_REQ, op, len(key), 0, 0, 0, len(key), 0, 0) + key
+
+    batch = frame(OP_GETQ, b"pa") + frame(OP_GETQ, b"pb") + frame(OP_GET, b"pa")
+    times = []
+    for _ in range(10):
+        t0 = time.perf_counter()
+        mc.sendall(batch)
+        values = [_res(mc)[3][4:] for _ in range(3)]
+        times.append(time.perf_counter() - t0)
+        assert values == [b"v-pa", b"v-pb", b"v-pa"]
+    assert statistics.median(times) < 0.020

@@ -262,3 +262,38 @@ def test_output_type_msgpack(srv):
         st = unpack(r.read())
     assert st[0][0] == 0
     assert isinstance(st[1], dict) and "version" in st[1]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "&limit=10",
+        "&limit=100&output_columns=_id,_score,text",  # body over 8 KB
+        "&limit=10&output_type=msgpack",
+    ],
+)
+def test_keepalive_select_is_not_held_by_delayed_ack(srv, query):
+    # the headers and the body go out in separate sends; without
+    # TCP_NODELAY every keep-alive reply waits ~40 ms for the ACK
+    import http.client
+    import statistics
+    from urllib.parse import urlsplit
+
+    _, base = srv
+    u = urlsplit(base)
+    conn = http.client.HTTPConnection(u.hostname, u.port, timeout=10)
+    path = "/d/select?table=documents&query=query" + query
+    times = []
+    try:
+        for _ in range(20):
+            t0 = time.perf_counter()
+            conn.request("GET", path)
+            r = conn.getresponse()
+            payload = r.read()
+            times.append(time.perf_counter() - t0)
+            assert r.status == 200 and payload
+    finally:
+        conn.close()
+    if "limit=100" in query:
+        assert len(payload) > 8192
+    assert statistics.median(times) < 0.020

@@ -324,6 +324,44 @@ load --table T --columns _key,old
     assert out[-1] == (-22, None, "[load] nonexistent column: <old>")
 
 
+def test_index_column_truncate_clears_the_select_cache(ray_session, tmp_path):
+    server = CommandServer(data_dir=str(tmp_path))
+    out = _run(server, """
+table_create Self TABLE_PAT_KEY ShortText
+column_create Self own COLUMN_SCALAR ShortText
+column_create Self own_index COLUMN_INDEX Self own
+load --table Self
+[{"_key":"k1","own":"x"},{"_key":"k2","own":"x"},{"_key":"k3","own":"y"}]
+select Self --output_columns '*' --sortby _key
+truncate Self.own_index
+select Self --output_columns '*' --sortby _key
+select Self --output_columns '*' --sortby _key --cache no
+""")
+    counts = [[r[-1] for r in o[1][0][2:]] for o in out[-4:] if o[1] is not True]
+    assert counts == [[2, 2, 1], [0, 0, 0], [0, 0, 0]]
+    assert out[-2] == out[-1]
+
+
+def test_new_table_under_a_renamed_tables_old_name(ray_session, tmp_path):
+    server = CommandServer(data_dir=str(tmp_path))
+    out = _run(server, """
+table_create A TABLE_HASH_KEY ShortText
+column_create A note COLUMN_SCALAR ShortText
+load --table A
+[{"_key":"b1","note":"kept"}]
+table_rename A B
+table_create A TABLE_HASH_KEY ShortText
+column_create A note COLUMN_SCALAR ShortText
+load --table A
+[{"_key":"a1","note":"new"},{"_key":"a2","note":"new"}]
+select B --output_columns _key,note
+select A --output_columns _key,note --sortby _key
+""")
+    assert out[-3] == (0, 2, None)
+    assert out[-2][1][0][0] == [1] and out[-2][1][0][2:] == [["b1", "kept"]]
+    assert out[-1][1][0][2:] == [["a1", "new"], ["a2", "new"]]
+
+
 def test_catalog_lives_in_table_defs():
     """Per-table facts live in each table's TableDef, and every
     server-wide registry is declared in ``__init__``: no method adds a
